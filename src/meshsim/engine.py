@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
-from .geo import LatLonAlt, geo_to_local, node_distance_m
+from .geo import LatLonAlt, node_distance_m
 from .mesh import (
     ActionKind,
     MeshPacket,
@@ -55,8 +55,6 @@ __all__ = [
     "ReceptionRecord",
     "SimReport",
     "derive_seed",
-    "geo_to_local",
-    "node_distance_m",
     "propagate",
     "resolve_collisions",
     "run",
@@ -306,13 +304,12 @@ def propagate(
     link_table: LinkTable,
     default_env: Sequence[EnvBand],
     rng: random.Random,
-    transmitting: frozenset[str] | set[str] = frozenset(),
 ) -> list[ReceptionRecord]:
     """Compute the reception candidate at every node other than the sender.
 
     Shadowing is drawn per (link, frame) from rng unless the link pins a
-    fixed shadow value. Nodes currently transmitting are marked TX_BUSY;
-    collisions are resolved later, once all overlapping frames are known.
+    fixed shadow value. Half-duplex losses and collisions are judged
+    later, once all overlapping frames are known.
     """
     tx_cfg = radios[transmitter]
     tx_pos = positions[transmitter]
@@ -342,10 +339,7 @@ def propagate(
         if rx_cfg is not tx_cfg:
             # SNR is set by the receiver's own noise floor.
             snr = rssi - noise_floor_dbm(rx_cfg)
-        if receiver in transmitting:
-            outcome = ReceptionOutcome.TX_BUSY
-        else:
-            outcome = _FROM_DECODE[decode_outcome(rssi, snr, radios[receiver])]
+        outcome = _FROM_DECODE[decode_outcome(rssi, snr, rx_cfg)]
         records.append(
             ReceptionRecord(
                 time_s=end_time_s,
@@ -540,10 +534,6 @@ class _Simulation:
         time_s = start_ns / NS_PER_S
         positions = {nid: rt.position_at(time_s) for nid, rt in self.nodes.items()}
         radios = {nid: rt.radio for nid, rt in self.nodes.items()}
-        mid_tx = {
-            nid for nid, rt in self.nodes.items()
-            if nid != event.subject and rt.busy_until_ns > start_ns
-        }
         candidates = propagate(
             event.subject,
             packet,
@@ -553,7 +543,6 @@ class _Simulation:
             self.link_table,
             self.scenario.default_env,
             self.shadow_rng,
-            transmitting=mid_tx,
         )
         frame = _AirFrame(event.subject, packet, start_ns, end_ns, candidates)
         self.recent_frames.append(frame)

@@ -96,6 +96,13 @@ class ContentionParams:
         default_factory=lambda: dict(DEFAULT_CONTENTION_WINDOWS)
     )
 
+    def __post_init__(self) -> None:
+        if not self.snr_min_db < self.snr_max_db:
+            raise ValueError(
+                f"invalid ContentionParams: snr_min_db {self.snr_min_db} must be "
+                f"below snr_max_db {self.snr_max_db}"
+            )
+
 
 class ActionKind(Enum):
     DELIVER_TO_APP = "DELIVER_TO_APP"

@@ -9,15 +9,18 @@ synthetic topologies (line, full mesh) used to pin flooding behavior.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from importlib import resources
-from typing import Any, Iterable
+from types import UnionType
+from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
 
 import jsonschema
 
 from .geo import LatLonAlt, offset_position
-from .mesh import MAX_PAYLOAD_BYTES, ContentionParams, NodeRole, Port
+from .mesh import DEFAULT_CONTENTION_WINDOWS, MAX_PAYLOAD_BYTES, ContentionParams, NodeRole, Port
 from .phy import (
     EnvironmentClass,
     RadioConfig,
@@ -214,12 +217,9 @@ class Scenario:
             if any(m is None for m in maxes):
                 v.append("default_env: only the last band may omit max_distance_m")
             else:
-                if any(m is not None and m <= 0 for m in maxes):
+                if any(m <= 0 for m in maxes):
                     v.append("default_env: max_distance_m values must be positive")
-                pairs = [
-                    (a, b) for a, b in zip(maxes, maxes[1:]) if a is not None and b is not None
-                ]
-                if any(b <= a for a, b in pairs):
+                if any(b <= a for a, b in zip(maxes, maxes[1:])):
                     v.append("default_env: max_distance_m values must be increasing")
         for i, link in enumerate(self.links):
             where = f"links[{i}] ({link.a}->{link.b})"
@@ -247,224 +247,137 @@ class Scenario:
         return replace(self, **changes)
 
     def to_dict(self) -> dict[str, Any]:
-        return _scenario_to_dict(self)
+        return _encode(self)
 
 
 # --- JSON (de)serialization ---------------------------------------------
+#
+# The dataclasses describe the file format. Keys are field names, enums go
+# by value, tuples and frozensets become lists (frozensets sorted), and a
+# field holding None is left out. Two layouts break that rule: a waypoint
+# inlines its position, and _FILL supplies defaults a dataclass cannot.
 
-def _position_from(obj: dict[str, Any]) -> LatLonAlt:
-    return LatLonAlt(obj["latitude"], obj["longitude"], obj.get("altitude_m", 0.0))
+_INLINE = {Waypoint: "position"}
 
-def _position_to(p: LatLonAlt) -> dict[str, Any]:
-    return {"latitude": p.latitude, "longitude": p.longitude, "altitude_m": p.altitude_m}
+_FILL: dict[type, Callable[[dict[str, Any]], None]] = {
+    NodeSpec: lambda kw: kw.setdefault("name", kw["id"]),
+    EnvironmentClass: lambda kw: kw.setdefault("reference_loss_db", REFERENCE_LOSS_915_DB),
+    ContentionParams: lambda kw: kw.update(
+        windows={**DEFAULT_CONTENTION_WINDOWS, **kw.get("windows", {})}
+    ),
+}
 
-def _env_from(obj: dict[str, Any]) -> EnvironmentClass:
-    return EnvironmentClass(
-        terrain=Terrain(obj["terrain"]),
-        path_loss_exponent=obj["path_loss_exponent"],
-        reference_loss_db=obj.get("reference_loss_db", REFERENCE_LOSS_915_DB),
-        shadowing_sigma_db=obj.get("shadowing_sigma_db", 0.0),
-    )
+# A value whose construction failed; its error is already recorded.
+_INVALID: Any = object()
 
-def _env_to(env: EnvironmentClass) -> dict[str, Any]:
-    return {
-        "terrain": env.terrain.value,
-        "path_loss_exponent": env.path_loss_exponent,
-        "reference_loss_db": env.reference_loss_db,
-        "shadowing_sigma_db": env.shadowing_sigma_db,
-    }
-
-def _route_from(obj: dict[str, Any]) -> Route:
-    return Route(
-        waypoints=tuple(
-            Waypoint(w["time_s"], _position_from(w)) for w in obj["waypoints"]
-        ),
-        loop=obj.get("loop", False),
-    )
-
-def _route_to(route: Route) -> dict[str, Any]:
-    return {
-        "loop": route.loop,
-        "waypoints": [
-            {"time_s": w.time_s, **_position_to(w.position)} for w in route.waypoints
-        ],
-    }
-
-def _radio_from(obj: dict[str, Any]) -> RadioConfig:
-    return RadioConfig(**obj)
-
-def _radio_to(cfg: RadioConfig) -> dict[str, Any]:
-    return {
-        "frequency_hz": cfg.frequency_hz,
-        "spreading_factor": cfg.spreading_factor,
-        "bandwidth_hz": cfg.bandwidth_hz,
-        "coding_rate": cfg.coding_rate,
-        "tx_power_dbm": cfg.tx_power_dbm,
-        "hop_limit": cfg.hop_limit,
-        "preamble_symbols": cfg.preamble_symbols,
-        "crc_enabled": cfg.crc_enabled,
-        "explicit_header": cfg.explicit_header,
-        "antenna_gain_tx_dbi": cfg.antenna_gain_tx_dbi,
-        "antenna_gain_rx_dbi": cfg.antenna_gain_rx_dbi,
-        "noise_figure_db": cfg.noise_figure_db,
-    }
-
-def _app_from(obj: dict[str, Any]) -> AppSchedule:
-    return AppSchedule(
-        port=Port(obj["port"]),
-        payload_source=PayloadSource(obj["payload_source"]),
-        period_s=obj.get("period_s", 0.0),
-        start_offset_s=obj.get("start_offset_s", 0.0),
-        text=obj.get("text", "ping"),
-    )
-
-def _app_to(app: AppSchedule) -> dict[str, Any]:
-    return {
-        "port": app.port.value,
-        "payload_source": app.payload_source.value,
-        "period_s": app.period_s,
-        "start_offset_s": app.start_offset_s,
-        "text": app.text,
-    }
-
-def _node_from(obj: dict[str, Any]) -> NodeSpec:
-    return NodeSpec(
-        id=obj["id"],
-        name=obj.get("name", obj["id"]),
-        role=NodeRole(obj["role"]),
-        position=_position_from(obj["position"]),
-        apps=tuple(_app_from(a) for a in obj.get("apps", [])),
-        radio=_radio_from(obj["radio"]) if "radio" in obj else None,
-        route=_route_from(obj["route"]) if "route" in obj else None,
-    )
-
-def _node_to(node: NodeSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "id": node.id,
-        "name": node.name,
-        "role": node.role.value,
-        "position": _position_to(node.position),
-        "apps": [_app_to(a) for a in node.apps],
-    }
-    if node.radio is not None:
-        out["radio"] = _radio_to(node.radio)
-    if node.route is not None:
-        out["route"] = _route_to(node.route)
-    return out
-
-def _contention_from(obj: dict[str, Any]) -> ContentionParams:
-    windows = dict(ContentionParams().windows)
-    for role_name, pair in obj.get("windows", {}).items():
-        windows[NodeRole(role_name)] = (int(pair[0]), int(pair[1]))
-    return ContentionParams(
-        snr_min_db=obj.get("snr_min_db", -20.0),
-        snr_max_db=obj.get("snr_max_db", 10.0),
-        windows=windows,
-    )
-
-def _contention_to(params: ContentionParams) -> dict[str, Any]:
-    return {
-        "snr_min_db": params.snr_min_db,
-        "snr_max_db": params.snr_max_db,
-        "windows": {role.value: list(pair) for role, pair in params.windows.items()},
-    }
-
-def _scenario_to_dict(s: Scenario) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "name": s.name,
-        "duration_s": s.duration_s,
-        "seed": s.seed,
-        "epoch_s": s.epoch_s,
-        "region": s.region,
-        "capture_threshold_db": s.capture_threshold_db,
-        "radio": _radio_to(s.radio),
-        "contention": _contention_to(s.contention),
-        "irradiance_profile": {
-            "peak_adc": s.irradiance_profile.peak_adc,
-            "sunrise_s": s.irradiance_profile.sunrise_s,
-            "sunset_s": s.irradiance_profile.sunset_s,
-        },
-        "default_env": [
-            {"env": _env_to(b.env)}
-            if b.max_distance_m is None
-            else {"max_distance_m": b.max_distance_m, "env": _env_to(b.env)}
-            for b in s.default_env
-        ],
-        "nodes": [_node_to(n) for n in s.nodes],
-        "links": [
-            {
-                k: v
-                for k, v in {
-                    "a": l.a,
-                    "b": l.b,
-                    "distance_m": l.distance_m,
-                    "env": _env_to(l.env) if l.env is not None else None,
-                    "shadow_db": l.shadow_db,
-                    "directed": l.directed,
-                }.items()
-                if v is not None
-            }
-            for l in s.links
-        ],
-        "outputs": sorted(s.outputs),
-    }
-    if s.tracker_route is not None:
-        out["tracker_route"] = _route_to(s.tracker_route)
-    return out
+_Decode = Callable[[Any, str, list[str]], Any]
 
 
-def _load_schema() -> dict[str, Any]:
+def _field_names(cls: type) -> tuple[str, ...]:
+    if is_dataclass(cls):
+        return tuple(f.name for f in fields(cls))
+    return cls._fields  # type: ignore[attr-defined]  # NamedTuple
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value) or hasattr(value, "_fields"):
+        inline = _INLINE.get(type(value))
+        out: dict[str, Any] = {}
+        for name in _field_names(type(value)):
+            item = getattr(value, name)
+            if name == inline:
+                out.update(_encode(item))
+            elif item is not None:
+                out[name] = _encode(item)
+        return out
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(_encode(v) for v in value)
+    if isinstance(value, dict):
+        return {_encode(k): _encode(v) for k, v in value.items()}
+    return value
+
+
+def _child(path: str, key: object) -> str:
+    return f"{path}/{key}" if path else str(key)
+
+
+def _collection(build: Callable[[Any], Any], item: _Decode) -> _Decode:
+    def decode(value: Any, path: str, errors: list[str]) -> Any:
+        items = [item(v, _child(path, i), errors) for i, v in enumerate(value)]
+        return _INVALID if _INVALID in items else build(items)
+
+    return decode
+
+
+def _record(cls: type) -> _Decode:
+    hints = get_type_hints(cls)
+    plan = [
+        (name, _decoder(hints[name]), name == _INLINE.get(cls))
+        for name in _field_names(cls)
+    ]
+    fill = _FILL.get(cls)
+
+    def decode(obj: dict[str, Any], path: str, errors: list[str]) -> Any:
+        kwargs = {}
+        for name, item, inline in plan:
+            if inline:
+                kwargs[name] = item(obj, path, errors)
+            elif name in obj:
+                kwargs[name] = item(obj[name], _child(path, name), errors)
+        if _INVALID in kwargs.values():
+            return _INVALID
+        if fill is not None:
+            fill(kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            errors.append(f"{path or '(root)'}: {exc}")
+            return _INVALID
+
+    return decode
+
+
+@functools.cache
+def _decoder(tp: Any) -> _Decode:
+    """Build the decode function for one type; nested types are built once."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None: None fields are never written
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decoder(inner)
+    if origin in (tuple, frozenset):  # tuple[X, ...] or a pair such as tuple[int, int]
+        return _collection(origin, _decoder(args[0]))
+    if origin is dict:
+        key, item = _decoder(args[0]), _decoder(args[1])
+        return lambda value, path, errors: {
+            key(k, path, errors): item(v, _child(path, k), errors) for k, v in value.items()
+        }
+    if tp is int or isinstance(tp, type) and issubclass(tp, Enum):
+        return lambda value, path, errors: tp(value)
+    if tp in (float, str, bool):
+        return lambda value, path, errors: value
+    return _record(tp)
+
+
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
     text = resources.files("meshsim").joinpath("data/scenario.schema.json").read_text()
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def scenario_from_dict(obj: dict[str, Any]) -> Scenario:
     """Build and fully validate a scenario from parsed JSON."""
-    schema = _load_schema()
-    validator = jsonschema.Draft202012Validator(schema)
     violations = [
         f"{'/'.join(str(p) for p in err.absolute_path) or '(root)'}: {err.message}"
-        for err in sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
+        for err in sorted(_validator().iter_errors(obj), key=lambda e: list(e.absolute_path))
     ]
     if violations:
         raise ScenarioError(violations)
-    try:
-        scenario = Scenario(
-            name=obj["name"],
-            duration_s=obj["duration_s"],
-            seed=obj["seed"],
-            nodes=tuple(_node_from(n) for n in obj["nodes"]),
-            default_env=tuple(
-                EnvBand(env=_env_from(b["env"]), max_distance_m=b.get("max_distance_m"))
-                for b in obj["default_env"]
-            ),
-            links=tuple(
-                LinkOverride(
-                    a=l["a"],
-                    b=l["b"],
-                    distance_m=l.get("distance_m"),
-                    env=_env_from(l["env"]) if "env" in l else None,
-                    shadow_db=l.get("shadow_db"),
-                    directed=l.get("directed", False),
-                )
-                for l in obj.get("links", [])
-            ),
-            tracker_route=_route_from(obj["tracker_route"])
-            if "tracker_route" in obj
-            else None,
-            outputs=frozenset(obj.get("outputs", ["summary"])),
-            radio=_radio_from(obj.get("radio", {})),
-            contention=_contention_from(obj.get("contention", {})),
-            capture_threshold_db=obj.get(
-                "capture_threshold_db", DEFAULT_CAPTURE_THRESHOLD_DB
-            ),
-            epoch_s=obj.get("epoch_s", DEFAULT_EPOCH_S),
-            region=obj.get("region", "US"),
-            irradiance_profile=DiurnalProfile(**obj.get("irradiance_profile", {})),
-        )
-    except ValueError as exc:
-        raise ScenarioError([str(exc)]) from exc
-    violations = scenario.validate()
+    scenario = _decoder(Scenario)(obj, "", violations)
+    violations = violations or scenario.validate()  # validate() needs a built scenario
     if violations:
         raise ScenarioError(violations)
     return scenario

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from meshsim.cli import main
-from meshsim.scenarios import campus_scenario
+from meshsim.scenarios import campus_scenario, k4_scenario
 
 
 def run_cli(*argv):
@@ -133,6 +133,33 @@ def test_invalid_scenario_file_lists_violations(tmp_path, capsys):
     assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "duration_s" in err and "nodes" in err
+
+
+def test_construction_errors_are_collected_with_paths(tmp_path, capsys):
+    obj = campus_scenario().to_dict()
+    obj["nodes"][0]["apps"][0].update(
+        port="TEXT_MESSAGE_APP", payload_source="TEXT_FIXED", period_s=0
+    )
+    obj["tracker_route"]["waypoints"][1]["time_s"] = 0.0
+    path = tmp_path / "two_faults.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: nodes/0/apps/0: invalid AppSchedule: period_s 0 must be positive",
+        "error: tracker_route: route waypoint times must be strictly increasing",
+    ]
+
+
+def test_equal_snr_span_is_usage_error(tmp_path, capsys):
+    obj = k4_scenario().to_dict()
+    obj["contention"]["snr_max_db"] = obj["contention"]["snr_min_db"]
+    path = tmp_path / "flat_span.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: contention: invalid ContentionParams:")
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_unparseable_json_is_usage_error(tmp_path, capsys):

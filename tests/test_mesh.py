@@ -252,6 +252,13 @@ def test_backoff_roles_order():
         assert mean_r <= mean_c
 
 
+@pytest.mark.parametrize("snr_min, snr_max", [(-20.0, -20.0), (10.0, -20.0)])
+def test_contention_rejects_empty_snr_span(snr_min, snr_max):
+    # backoff_delay_s divides by the span, so it must be positive.
+    with pytest.raises(ValueError, match="snr_min_db"):
+        ContentionParams(snr_min_db=snr_min, snr_max_db=snr_max)
+
+
 def test_backoff_deterministic_for_seeded_rng():
     params = ContentionParams()
     a = [

@@ -4,15 +4,25 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshsim.geo import LatLonAlt, geo_to_local, node_distance_m, offset_position
-from meshsim.mesh import NodeRole, Port
+from meshsim.mesh import ContentionParams, NodeRole, Port
+from meshsim.phy import EnvironmentClass, RadioConfig, Terrain
 from meshsim.scenarios import (
     BUILTIN_SCENARIOS,
+    GATEWAY_OUTPUTS,
     NLOS_EXPONENT,
+    OUTPUT_KINDS,
     QUASI_LOS_EXPONENT,
     EnvBand,
+    LinkOverride,
+    NodeSpec,
+    Route,
+    Scenario,
     ScenarioError,
+    Waypoint,
     campus_scenario,
     cumbre_scenario,
     k4_scenario,
@@ -20,7 +30,7 @@ from meshsim.scenarios import (
     load_scenario,
     scenario_from_dict,
 )
-from meshsim.telemetry import PayloadSource
+from meshsim.telemetry import AppSchedule, DiurnalProfile, PayloadSource
 
 
 # --- local-plane geometry ----------------------------------------------------
@@ -229,6 +239,7 @@ def test_scenario_json_roundtrip():
         sc = load_scenario(name)
         as_dict = sc.to_dict()
         back = scenario_from_dict(json.loads(json.dumps(as_dict)))
+        assert back == sc
         assert back.to_dict() == as_dict
 
 
@@ -268,6 +279,189 @@ def test_schema_rejects_bad_role():
     obj["nodes"][0]["role"] = "SUPERNODE"
     with pytest.raises(ScenarioError):
         scenario_from_dict(obj)
+
+
+def test_schema_rejects_unknown_position_key():
+    # A misspelt altitude must not load as altitude 0.
+    obj = campus_scenario().to_dict()
+    position = obj["nodes"][0]["position"]
+    position["alt_m"] = position.pop("altitude_m")
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(obj)
+    assert exc.value.violations == [
+        "nodes/0/position: Additional properties are not allowed ('alt_m' was unexpected)"
+    ]
+
+
+def test_codec_layout_exceptions():
+    sc = campus_scenario()
+    obj = sc.to_dict()
+    # A waypoint carries its position inline.
+    assert obj["tracker_route"]["waypoints"][0] == {
+        "time_s": 0.0,
+        "latitude": sc.tracker_route.waypoints[0].position.latitude,
+        "longitude": sc.tracker_route.waypoints[0].position.longitude,
+        "altitude_m": 2559.9,
+    }
+    # Fields holding None are left out.
+    assert "radio" not in obj["nodes"][0] and "distance_m" not in obj["links"][0]
+    # Defaults the dataclasses cannot express come from the fill table.
+    del obj["nodes"][0]["name"]
+    del obj["links"][0]["env"]["reference_loss_db"]
+    obj["contention"]["windows"] = {"CLIENT": [1, 9]}
+    back = scenario_from_dict(obj)
+    assert back.nodes[0].name == "node1"
+    assert back.links[0].env == sc.links[0].env
+    assert back.contention.windows == {**sc.contention.windows, NodeRole.CLIENT: (1, 9)}
+
+
+def test_integral_floats_load_as_ints():
+    # The schema's "integer" accepts 11.0; 1 << 11.0 would fail mid-run.
+    obj = k4_scenario().to_dict()
+    obj["seed"] = 2.0
+    obj["radio"]["spreading_factor"] = 11.0
+    sc = scenario_from_dict(obj)
+    assert sc == k4_scenario()
+    assert type(sc.seed) is int and type(sc.radio.spreading_factor) is int
+
+
+# --- generated round trips ---------------------------------------------------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _nonneg(max_value=None):
+    return st.floats(min_value=0.0, max_value=max_value, allow_nan=False, allow_infinity=False)
+
+
+def _positive(max_value=None):
+    return st.floats(
+        min_value=0.0, max_value=max_value, exclude_min=True, allow_nan=False, allow_infinity=False
+    )
+
+
+_position = st.builds(
+    LatLonAlt,
+    st.floats(min_value=-90.0, max_value=90.0),
+    st.floats(min_value=-180.0, max_value=180.0),
+    _finite,
+)
+
+_radio = st.builds(
+    RadioConfig,
+    frequency_hz=_positive(),
+    spreading_factor=st.integers(7, 12),
+    bandwidth_hz=_positive(),
+    coding_rate=st.integers(1, 4),
+    tx_power_dbm=_finite,
+    hop_limit=st.integers(0, 7),
+    preamble_symbols=st.integers(1, 64),
+    crc_enabled=st.booleans(),
+    explicit_header=st.booleans(),
+    antenna_gain_tx_dbi=_finite,
+    antenna_gain_rx_dbi=_finite,
+    noise_figure_db=_nonneg(),
+)
+
+_env = st.builds(
+    EnvironmentClass,
+    terrain=st.sampled_from(list(Terrain)),
+    path_loss_exponent=st.floats(min_value=2.0, max_value=8.0),
+    reference_loss_db=_positive(),
+    shadowing_sigma_db=_nonneg(),
+)
+
+
+@st.composite
+def _routes(draw):
+    times = draw(st.lists(_nonneg(1e6), min_size=1, max_size=4, unique=True))
+    waypoints = tuple(Waypoint(t, draw(_position)) for t in sorted(times))
+    return Route(waypoints=waypoints, loop=draw(st.booleans()))
+
+
+_app = st.builds(
+    AppSchedule,
+    port=st.sampled_from(list(Port)),
+    payload_source=st.sampled_from(list(PayloadSource)),
+    period_s=_positive(1e7),
+    start_offset_s=_nonneg(),
+    text=st.text(max_size=20),
+)
+
+
+@st.composite
+def _scenarios(draw):
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    nodes = tuple(
+        NodeSpec(
+            id=node_id,
+            name=draw(st.text(max_size=8)),
+            role=draw(st.sampled_from(list(NodeRole))),
+            position=draw(_position),
+            apps=tuple(draw(st.lists(_app, max_size=2))),
+            radio=draw(st.none() | _radio),
+            route=draw(st.none() | _routes()),
+        )
+        for node_id in ids
+    )
+    limits = sorted(draw(st.lists(_positive(1e6), max_size=2, unique=True)))
+    bands = tuple(EnvBand(env=draw(_env), max_distance_m=m) for m in limits)
+    bands += (EnvBand(env=draw(_env)),)
+    links = ()
+    if len(ids) > 1:
+        pair = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+        links = tuple(
+            LinkOverride(
+                *draw(pair),
+                distance_m=draw(st.none() | st.floats(min_value=1.0, max_value=1e7)),
+                env=draw(st.none() | _env),
+                shadow_db=draw(st.none() | _finite),
+                directed=draw(st.booleans()),
+            )
+            for _ in range(draw(st.integers(0, 2)))
+        )
+    outputs = draw(st.frozensets(st.sampled_from(sorted(OUTPUT_KINDS))))
+    if not any(n.role is NodeRole.GATEWAY for n in nodes):
+        outputs -= GATEWAY_OUTPUTS
+    snr_min, snr_max = sorted(
+        draw(st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2, unique=True))
+    )
+    pairs = st.tuples(st.integers(0, 16), st.integers(0, 16))
+    sunrise = draw(_nonneg(40_000.0))
+    return Scenario(
+        name=draw(st.text(min_size=1, max_size=10)),
+        duration_s=draw(_positive(1e6)),
+        seed=draw(st.integers(0, 2**63)),
+        nodes=nodes,
+        default_env=bands,
+        links=links,
+        tracker_route=draw(st.none() | _routes()),
+        outputs=outputs,
+        radio=draw(_radio),
+        contention=ContentionParams(
+            snr_min_db=snr_min,
+            snr_max_db=snr_max,
+            windows=draw(st.fixed_dictionaries({role: pairs for role in NodeRole})),
+        ),
+        capture_threshold_db=draw(_nonneg()),
+        epoch_s=draw(st.integers(0, 2**40)),
+        region=draw(st.text(min_size=1, max_size=4)),
+        irradiance_profile=DiurnalProfile(
+            peak_adc=draw(st.integers(1, 4095)),
+            sunrise_s=sunrise,
+            sunset_s=draw(st.floats(min_value=sunrise, max_value=86400.0, exclude_min=True)),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sc=_scenarios())
+def test_generated_scenarios_roundtrip(sc):
+    assert sc.validate() == []
+    as_dict = sc.to_dict()
+    back = scenario_from_dict(json.loads(json.dumps(as_dict)))
+    assert back == sc
+    assert back.to_dict() == as_dict
 
 
 def test_route_validation_and_interpolation():
