@@ -1,8 +1,8 @@
 """Deterministic simulator for small LoRa mesh deployments.
 
 Models the full path from sensor sample to time-series record: LoRa
-airtime and link budgets, managed flooding with SNR-shaped contention,
-compact telemetry payloads, and the gateway's uplink pipeline. Runs are
+airtime and link budgets, flooding with SNR-shaped backoff, compact
+telemetry payloads, and the gateway's uplink pipeline. Runs are
 reproducible bit for bit from (scenario, seed).
 """
 

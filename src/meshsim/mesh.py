@@ -97,11 +97,17 @@ class ContentionParams:
     )
 
     def __post_init__(self) -> None:
+        problems = []
         if not self.snr_min_db < self.snr_max_db:
-            raise ValueError(
-                f"invalid ContentionParams: snr_min_db {self.snr_min_db} must be "
-                f"below snr_max_db {self.snr_max_db}"
+            problems.append(
+                f"snr_min_db {self.snr_min_db} must be below snr_max_db {self.snr_max_db}"
             )
+        # An inverted window would let strong receivers rebroadcast first.
+        for role, (low, high) in self.windows.items():
+            if not 0 <= low <= high:
+                problems.append(f"{role.value} window [{low}, {high}] must have 0 <= min <= max")
+        if problems:
+            raise ValueError("invalid ContentionParams: " + "; ".join(problems))
 
 
 class ActionKind(Enum):

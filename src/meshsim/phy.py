@@ -90,6 +90,8 @@ class RadioConfig:
             problems.append(f"frequency_hz {self.frequency_hz} must be positive")
         if self.preamble_symbols < 1:
             problems.append(f"preamble_symbols {self.preamble_symbols} must be >= 1")
+        if self.noise_figure_db < 0:
+            problems.append(f"noise_figure_db {self.noise_figure_db} must be >= 0")
         if problems:
             raise ValueError("invalid RadioConfig: " + "; ".join(problems))
 

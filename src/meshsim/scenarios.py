@@ -11,13 +11,11 @@ from __future__ import annotations
 import bisect
 import functools
 import json
-from dataclasses import dataclass, fields, is_dataclass, replace
+import math
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from importlib import resources
 from types import UnionType
 from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
-
-import jsonschema
 
 from .geo import LatLonAlt, offset_position
 from .mesh import DEFAULT_CONTENTION_WINDOWS, MAX_PAYLOAD_BYTES, ContentionParams, NodeRole, Port
@@ -182,24 +180,41 @@ class Scenario:
     def validate(self) -> list[str]:
         """Collect every violation; an empty list means the scenario is sound."""
         v: list[str] = []
+
+        def check_position(where: str, position: LatLonAlt) -> None:
+            if not -90 <= position.latitude <= 90:
+                v.append(f"{where}: latitude {position.latitude} outside -90..90")
+            if not -180 <= position.longitude <= 180:
+                v.append(f"{where}: longitude {position.longitude} outside -180..180")
+
+        def check_route(where: str, route: Route | None) -> None:
+            for j, waypoint in enumerate(route.waypoints if route else ()):
+                if waypoint.time_s < 0:
+                    v.append(f"{where}.waypoints[{j}]: time_s {waypoint.time_s} must be >= 0")
+                check_position(f"{where}.waypoints[{j}]", waypoint.position)
+
+        if not self.name:
+            v.append("name: must not be empty")
         if self.duration_s <= 0:
             v.append(f"duration_s: {self.duration_s} must be positive")
         if self.seed < 0:
             v.append(f"seed: {self.seed} must be a non-negative integer")
+        if self.epoch_s < 0:
+            v.append(f"epoch_s: {self.epoch_s} must be >= 0")
+        if not self.region:
+            v.append("region: must not be empty")
         if not self.nodes:
             v.append("nodes: at least one node is required")
         seen: set[str] = set()
         for i, node in enumerate(self.nodes):
             where = f"nodes[{i}] ({node.id})"
+            if not node.id:
+                v.append(f"{where}: node id must not be empty")
             if node.id in seen:
                 v.append(f"{where}: duplicate node id")
             seen.add(node.id)
-            if not -90 <= node.position.latitude <= 90:
-                v.append(f"{where}: latitude {node.position.latitude} outside -90..90")
-            if not -180 <= node.position.longitude <= 180:
-                v.append(
-                    f"{where}: longitude {node.position.longitude} outside -180..180"
-                )
+            check_position(where, node.position)
+            check_route(f"{where}.route", node.route)
             for j, app in enumerate(node.apps):
                 if (
                     app.payload_source is PayloadSource.TEXT_FIXED
@@ -230,6 +245,7 @@ class Scenario:
                 v.append(f"{where}: a link needs two distinct nodes")
             if link.distance_m is not None and link.distance_m < 1:
                 v.append(f"{where}: distance_m {link.distance_m} below 1 m reference")
+        check_route("tracker_route", self.tracker_route)
         unknown = self.outputs - OUTPUT_KINDS
         if unknown:
             v.append(f"outputs: unknown kinds {sorted(unknown)}")
@@ -256,27 +272,33 @@ class Scenario:
 # by value, tuples and frozensets become lists (frozensets sorted), and a
 # field holding None is left out. Two layouts break that rule: a waypoint
 # inlines its position, and _FILL supplies defaults a dataclass cannot.
+#
+# The decoder alone checks a file's structure (keys, JSON types, enum
+# members, pair lengths). Ranges live in the constructors and validate(),
+# so that Python-built scenarios meet them too.
 
 _INLINE = {Waypoint: "position"}
 
-_FILL: dict[type, Callable[[dict[str, Any]], None]] = {
-    NodeSpec: lambda kw: kw.setdefault("name", kw["id"]),
-    EnvironmentClass: lambda kw: kw.setdefault("reference_loss_db", REFERENCE_LOSS_915_DB),
-    ContentionParams: lambda kw: kw.update(
-        windows={**DEFAULT_CONTENTION_WINDOWS, **kw.get("windows", {})}
-    ),
+# Each function computes its field from the decoded ones, so it is never required.
+_FILL: dict[type, dict[str, Callable[[dict[str, Any]], Any]]] = {
+    NodeSpec: {"name": lambda kw: kw.get("name", kw["id"])},
+    EnvironmentClass: {
+        "reference_loss_db": lambda kw: kw.get("reference_loss_db", REFERENCE_LOSS_915_DB)
+    },
+    ContentionParams: {
+        "windows": lambda kw: {**DEFAULT_CONTENTION_WINDOWS, **kw.get("windows", {})}
+    },
 }
-
-# A value whose construction failed; its error is already recorded.
-_INVALID: Any = object()
 
 _Decode = Callable[[Any, str, list[str]], Any]
 
 
-def _field_names(cls: type) -> tuple[str, ...]:
+def _fields(cls: type) -> dict[str, bool]:
+    """Field names in declaration order, each mapped to whether it is required."""
     if is_dataclass(cls):
-        return tuple(f.name for f in fields(cls))
-    return cls._fields  # type: ignore[attr-defined]  # NamedTuple
+        return {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    defaults = cls._field_defaults  # type: ignore[attr-defined]  # NamedTuple
+    return {name: name not in defaults for name in cls._fields}  # type: ignore[attr-defined]
 
 
 def _encode(value: Any) -> Any:
@@ -285,7 +307,7 @@ def _encode(value: Any) -> Any:
     if is_dataclass(value) or hasattr(value, "_fields"):
         inline = _INLINE.get(type(value))
         out: dict[str, Any] = {}
-        for name in _field_names(type(value)):
+        for name in _fields(type(value)):
             item = getattr(value, name)
             if name == inline:
                 out.update(_encode(item))
@@ -305,38 +327,99 @@ def _child(path: str, key: object) -> str:
     return f"{path}/{key}" if path else str(key)
 
 
-def _collection(build: Callable[[Any], Any], item: _Decode) -> _Decode:
+def _fail(errors: list[str], path: str, message: str) -> None:
+    """Record an error. A decoder that records one returns None, which no caller reads."""
+    errors.append(f"{path or '(root)'}: {message}")
+
+
+# JSON type and accepted values per primitive field type. A bool is never a
+# JSON number; an integer may be written as an integral float.
+_PRIMITIVES: dict[type, tuple[str, Callable[[Any], bool]]] = {
+    float: ("number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    int: ("integer", lambda v: type(v) is int or isinstance(v, float) and v.is_integer()),
+    str: ("string", lambda v: isinstance(v, str)),
+    bool: ("boolean", lambda v: isinstance(v, bool)),
+}
+
+
+def _primitive(tp: type) -> _Decode:
+    json_type, accepts = _PRIMITIVES[tp]
+
     def decode(value: Any, path: str, errors: list[str]) -> Any:
+        if not accepts(value):
+            return _fail(errors, path, f"{value!r} is not of type '{json_type}'")
+        if isinstance(value, float) and not math.isfinite(value):
+            return _fail(errors, path, f"{value!r} is not a finite number")
+        # A number field keeps an int as an int: to_dict() and messages print it as read.
+        return int(value) if tp is int else value
+
+    return decode
+
+
+def _collection(build: Callable[[Any], Any], item: _Decode, size: int | None) -> _Decode:
+    def decode(value: Any, path: str, errors: list[str]) -> Any:
+        if not isinstance(value, list):
+            return _fail(errors, path, f"{value!r} is not of type 'array'")
+        if size is not None and len(value) != size:
+            return _fail(errors, path, f"{value!r} does not have exactly {size} items")
+        mark = len(errors)
         items = [item(v, _child(path, i), errors) for i, v in enumerate(value)]
-        return _INVALID if _INVALID in items else build(items)
+        return None if len(errors) > mark else build(items)
+
+    return decode
+
+
+def _mapping(key: _Decode, item: _Decode) -> _Decode:
+    def decode(value: Any, path: str, errors: list[str]) -> Any:
+        if not isinstance(value, dict):
+            return _fail(errors, path, f"{value!r} is not of type 'object'")
+        mark = len(errors)
+        out = {
+            key(k, _child(path, k), errors): item(v, _child(path, k), errors)
+            for k, v in value.items()
+        }
+        return None if len(errors) > mark else out
 
     return decode
 
 
 def _record(cls: type) -> _Decode:
     hints = get_type_hints(cls)
-    plan = [
-        (name, _decoder(hints[name]), name == _INLINE.get(cls))
-        for name in _field_names(cls)
-    ]
-    fill = _FILL.get(cls)
+    inline = _INLINE.get(cls)
+    fill = _FILL.get(cls, {})
+    spec = _fields(cls)
+    plan = [(name, _decoder(hints[name]), name == inline) for name in spec]
+    own = [name for name in spec if name != inline]
+    required = {name for name in own if spec[name] and name not in fill}
 
-    def decode(obj: dict[str, Any], path: str, errors: list[str]) -> Any:
+    def decode(obj: Any, path: str, errors: list[str]) -> Any:
+        if not isinstance(obj, dict):
+            return _fail(errors, path, f"{obj!r} is not of type 'object'")
+        mark = len(errors)
+        # An inlined record gets the keys its owner does not have, and
+        # rejects any that it does not have either.
+        others = {k: v for k, v in obj.items() if k not in own}
+        if others and inline is None:
+            unexpected = ", ".join(repr(k) for k in others)
+            verb = "was" if len(others) == 1 else "were"
+            message = f"Additional properties are not allowed ({unexpected} {verb} unexpected)"
+            _fail(errors, path, message)
         kwargs = {}
-        for name, item, inline in plan:
-            if inline:
-                kwargs[name] = item(obj, path, errors)
+        for name, item, inlined in plan:
+            if inlined:
+                kwargs[name] = item(others, path, errors)
             elif name in obj:
                 kwargs[name] = item(obj[name], _child(path, name), errors)
-        if _INVALID in kwargs.values():
-            return _INVALID
-        if fill is not None:
-            fill(kwargs)
+            elif name in required:
+                _fail(errors, path, f"{name!r} is a required property")
+        if len(errors) > mark:
+            return None
+        for name, compute in fill.items():
+            kwargs[name] = compute(kwargs)
         try:
             return cls(**kwargs)
         except ValueError as exc:
-            errors.append(f"{path or '(root)'}: {exc}")
-            return _INVALID
+            return _fail(errors, path, str(exc))
 
     return decode
 
@@ -348,34 +431,23 @@ def _decoder(tp: Any) -> _Decode:
     if origin is UnionType:  # X | None: None fields are never written
         (inner,) = [a for a in args if a is not type(None)]
         return _decoder(inner)
-    if origin in (tuple, frozenset):  # tuple[X, ...] or a pair such as tuple[int, int]
-        return _collection(origin, _decoder(args[0]))
+    if origin in (tuple, frozenset):  # tuple[X, ...], frozenset[X] or a pair tuple[X, X]
+        size = len(args) if origin is tuple and args[-1] is not Ellipsis else None
+        return _collection(origin, _decoder(args[0]), size)
     if origin is dict:
-        key, item = _decoder(args[0]), _decoder(args[1])
-        return lambda value, path, errors: {
-            key(k, path, errors): item(v, _child(path, k), errors) for k, v in value.items()
-        }
-    if tp is int or isinstance(tp, type) and issubclass(tp, Enum):
-        return lambda value, path, errors: tp(value)
-    if tp in (float, str, bool):
-        return lambda value, path, errors: value
-    return _record(tp)
-
-
-@functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    text = resources.files("meshsim").joinpath("data/scenario.schema.json").read_text()
-    return jsonschema.Draft202012Validator(json.loads(text))
+        return _mapping(_decoder(args[0]), _decoder(args[1]))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = [m.value for m in tp]
+        return lambda value, path, errors: (
+            tp(value) if value in members
+            else _fail(errors, path, f"{value!r} is not one of {members}")
+        )
+    return _primitive(tp) if tp in _PRIMITIVES else _record(tp)
 
 
 def scenario_from_dict(obj: dict[str, Any]) -> Scenario:
     """Build and fully validate a scenario from parsed JSON."""
-    violations = [
-        f"{'/'.join(str(p) for p in err.absolute_path) or '(root)'}: {err.message}"
-        for err in sorted(_validator().iter_errors(obj), key=lambda e: list(e.absolute_path))
-    ]
-    if violations:
-        raise ScenarioError(violations)
+    violations: list[str] = []
     scenario = _decoder(Scenario)(obj, "", violations)
     violations = violations or scenario.validate()  # validate() needs a built scenario
     if violations:

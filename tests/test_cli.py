@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism, calibration."""
 
 import json
+import math
 
 import pytest
 
@@ -159,6 +160,45 @@ def test_equal_snr_span_is_usage_error(tmp_path, capsys):
     assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: contention: invalid ContentionParams:")
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_inverted_contention_window_is_usage_error(tmp_path, capsys):
+    # A window that shrinks as SNR rises would let near receivers rebroadcast first.
+    obj = k4_scenario().to_dict()
+    obj["contention"]["windows"] = {"CLIENT": [9, 0]}
+    path = tmp_path / "inverted_window.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: contention: invalid ContentionParams:")
+    assert "CLIENT window [9, 0]" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("duration_s",), math.nan),
+        (("duration_s",), math.inf),
+        (("radio", "tx_power_dbm"), math.nan),
+        (("default_env", 0, "env", "shadowing_sigma_db"), math.inf),
+        (("capture_threshold_db",), math.nan),
+    ],
+    ids=["duration-nan", "duration-inf", "tx-power-nan", "sigma-inf", "capture-nan"],
+)
+def test_non_finite_number_is_usage_error(tmp_path, capsys, where, value):
+    # json.load reads the literals NaN and Infinity; none may reach the run.
+    obj = k4_scenario().to_dict()
+    parent = obj
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
+    field = "/".join(str(key) for key in where)
+    assert capsys.readouterr().err == f"error: {field}: {value!r} is not a finite number\n"
     assert not (tmp_path / "summary.json").exists()
 
 

@@ -1,12 +1,21 @@
 """Scenario model: built-ins, validation, JSON round trips, geometry."""
 
+import copy
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshsim
 from meshsim.geo import LatLonAlt, geo_to_local, node_distance_m, offset_position
 from meshsim.mesh import ContentionParams, NodeRole, Port
 from meshsim.phy import EnvironmentClass, RadioConfig, Terrain
@@ -223,6 +232,43 @@ def test_validate_oversized_text_app():
     assert any("text exceeds" in v for v in bad.validate())
 
 
+def test_radio_rejects_negative_noise_figure():
+    with pytest.raises(ValueError, match="noise_figure_db -3.0 must be >= 0"):
+        RadioConfig(noise_figure_db=-3.0)
+
+
+@pytest.mark.parametrize(
+    "changes, expected",
+    [
+        ({"epoch_s": -1}, ["epoch_s: -1 must be >= 0"]),
+        ({"name": ""}, ["name: must not be empty"]),
+        ({"region": ""}, ["region: must not be empty"]),
+        (
+            {"tracker_route": Route(waypoints=(Waypoint(-5.0, LatLonAlt(200.0, 0.0)),))},
+            [
+                "tracker_route.waypoints[0]: time_s -5.0 must be >= 0",
+                "tracker_route.waypoints[0]: latitude 200.0 outside -90..90",
+            ],
+        ),
+    ],
+    ids=["epoch", "name", "region", "tracker-waypoint"],
+)
+def test_validate_holds_python_built_scenarios_to_file_ranges(changes, expected):
+    # Built-ins, replace() and the CLI overrides never pass through the decoder.
+    assert campus_scenario().replace(**changes).validate() == expected
+
+
+def test_validate_rejects_empty_node_id_and_bad_node_route():
+    sc = cumbre_scenario()
+    mobile = sc.nodes[1]
+    route = Route(waypoints=(Waypoint(0.0, LatLonAlt(0.0, 181.0)),))
+    nodes = (replace(sc.nodes[0], id=""), replace(mobile, route=route), sc.nodes[2])
+    assert sc.replace(nodes=nodes).validate() == [
+        "nodes[0] (): node id must not be empty",
+        "nodes[1] (mobile).route.waypoints[0]: longitude 181.0 outside -180..180",
+    ]
+
+
 def test_run_refuses_invalid_scenario():
     from meshsim import engine
 
@@ -291,6 +337,45 @@ def test_schema_rejects_unknown_position_key():
     assert exc.value.violations == [
         "nodes/0/position: Additional properties are not allowed ('alt_m' was unexpected)"
     ]
+
+
+@pytest.mark.parametrize(
+    "where, value, expected",
+    [
+        (("seed",), True, "seed: True is not of type 'integer'"),
+        (
+            ("contention", "windows"),
+            {"CLIENT": [1, 2, 3]},
+            "contention/windows/CLIENT: [1, 2, 3] does not have exactly 2 items",
+        ),
+        (
+            ("nodes", 0, "role"),
+            "SUPERNODE",
+            "nodes/0/role: 'SUPERNODE' is not one of ['CLIENT', 'ROUTER', 'GATEWAY', 'TRACKER']",
+        ),
+        (
+            ("tracker_route", "waypoints", 0),
+            {"time_s": 0.0, "latitude": 0.0, "longitude": 0.0, "speed": 1},
+            "tracker_route/waypoints/0: Additional properties are not allowed "
+            "('speed' was unexpected)",
+        ),
+        (
+            ("tracker_route", "waypoints", 0),
+            {"time_s": 0.0, "longitude": 0.0},
+            "tracker_route/waypoints/0: 'latitude' is a required property",
+        ),
+    ],
+    ids=["bool-as-integer", "long-pair", "enum", "waypoint-extra-key", "waypoint-missing-key"],
+)
+def test_decoder_reports_structure_with_paths(where, value, expected):
+    obj = campus_scenario().to_dict()
+    parent = obj
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(obj)
+    assert exc.value.violations == [expected]
 
 
 def test_codec_layout_exceptions():
@@ -426,7 +511,7 @@ def _scenarios(draw):
     snr_min, snr_max = sorted(
         draw(st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2, unique=True))
     )
-    pairs = st.tuples(st.integers(0, 16), st.integers(0, 16))
+    pairs = st.tuples(st.integers(0, 16), st.integers(0, 16)).map(lambda p: tuple(sorted(p)))
     sunrise = draw(_nonneg(40_000.0))
     return Scenario(
         name=draw(st.text(min_size=1, max_size=10)),
@@ -462,6 +547,81 @@ def test_generated_scenarios_roundtrip(sc):
     back = scenario_from_dict(json.loads(json.dumps(as_dict)))
     assert back == sc
     assert back.to_dict() == as_dict
+
+
+# --- the old schema as an oracle ----------------------------------------------------
+
+_SCHEMA_PATH = Path(__file__).parent / "data" / "scenario.schema.json"
+_SCENARIO_FIELDS = {f.name for f in fields(Scenario)}
+_BUILTIN_DICTS = [load_scenario(name).to_dict() for name in BUILTIN_SCENARIOS]
+_OLD_SCHEMA = jsonschema.Draft202012Validator(json.loads(_SCHEMA_PATH.read_text()))
+
+_junk = st.sampled_from(
+    [None, True, 0, -1, 2, 11.0, -5.5, 200, 1e12, math.nan, math.inf, -math.inf, "", "x",
+     "CLIENT", "LOS_OPEN", [], [0], [9, 0], [1, 2, 3], {}, {"latitude": 0.0}]
+).map(copy.deepcopy)  # a later mutation may edit a drawn list or dict
+_junk_key = st.sampled_from(["bogus", "alt_m", "time_s", "name", "position", "env", "CLIENT"])
+
+
+def _locations(node, path=()):
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _locations(child, path + (key,))
+
+
+@st.composite
+def _mutated_builtins(draw):
+    obj = copy.deepcopy(draw(st.sampled_from(_BUILTIN_DICTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_locations(obj))))
+        if not path:
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["replace", "delete", "add"]))
+        if kind == "replace":
+            parent[path[-1]] = draw(_junk)
+        elif kind == "delete":
+            del parent[path[-1]]
+        elif isinstance(node, dict):
+            node[draw(_junk_key)] = draw(_junk)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_mutated_builtins())
+def test_loader_rejects_what_the_old_schema_rejects(obj):
+    # The schema the loader used to run is the oracle: the loader may be
+    # stricter (non-finite numbers, inverted windows), never looser.
+    try:
+        scenario_from_dict(obj)
+    except ScenarioError as exc:
+        for violation in exc.violations:
+            head = re.match(r"[^/.\[ :]*", violation).group()
+            assert head == "(root)" or head in _SCENARIO_FIELDS, violation
+    else:
+        assert _OLD_SCHEMA.is_valid(obj), next(_OLD_SCHEMA.iter_errors(obj)).message
+
+
+def test_loading_needs_no_jsonschema(tmp_path):
+    path = tmp_path / "campus.json"
+    path.write_text(json.dumps(campus_scenario().to_dict()))
+    code = (
+        "import sys; sys.modules['jsonschema'] = None\n"
+        "from meshsim.scenarios import load_scenario\n"
+        f"print(load_scenario({str(path)!r}).name)\n"
+    )
+    src = str(Path(meshsim.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "campus\n", "")
 
 
 def test_route_validation_and_interpolation():
