@@ -3,9 +3,11 @@
 Time lives on an integer nanosecond clock; events are ordered by
 (time, insertion sequence), so two runs with the same scenario and seed
 replay the exact same history. The channel model is per-frame: every
-transmission produces one reception candidate per other node, and all
-temporally overlapping frames at a receiver are judged together when the
-frame ends (strongest wins only with a clear capture margin).
+transmission produces one reception candidate per other node. Each frame
+collects every frame it overlapped in time, however long, and when it
+ends each candidate is judged against that set: a receiver that sent one
+of them was busy, and otherwise the frame survives only with a clear
+capture margin over the strongest of them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
@@ -37,6 +39,7 @@ from .phy import (
     time_on_air_s,
 )
 from .scenarios import (
+    NS_PER_S,
     EnvBand,
     LinkOverride,
     NodeSpec,
@@ -55,15 +58,10 @@ __all__ = [
     "ReceptionRecord",
     "SimReport",
     "derive_seed",
+    "judge",
     "propagate",
-    "resolve_collisions",
     "run",
 ]
-
-NS_PER_S = 1_000_000_000
-
-# Frames older than this can no longer overlap anything new; see _prune.
-_FRAME_WINDOW_NS = 60 * NS_PER_S
 
 
 def derive_seed(master: int, *tags: object) -> int:
@@ -269,30 +267,32 @@ def env_for_distance(bands: Sequence[EnvBand], distance_m: float) -> Environment
     return bands[-1].env
 
 
-def resolve_collisions(
-    candidates: Sequence[ReceptionRecord],
-    capture_threshold_db: float = 6.0,
-) -> list[ReceptionOutcome]:
-    """Judge a set of mutually overlapping candidates at one receiver.
+def judge(
+    clean: ReceptionOutcome,
+    rssi_dbm: float,
+    rival_rssi_dbm: Sequence[float],
+    busy: bool,
+    capture_threshold_db: float,
+) -> ReceptionOutcome:
+    """Final outcome of one candidate, given the frames it overlapped.
 
-    A frame survives only when its RSSI clears every other overlapping
-    frame by the capture threshold and it would have decoded alone;
-    everything else in the set is a collision loss. A singleton set is
-    returned unchanged.
+    clean is the outcome the frame would have alone and rival_rssi_dbm
+    the power of every other frame heard during it. A receiver that was
+    transmitting (busy) hears nothing. Otherwise a frame with rivals
+    survives only when it would have decoded alone and its RSSI clears
+    the strongest rival by the capture threshold; every other overlapped
+    frame is a collision loss.
     """
-    if len(candidates) == 1:
-        return [candidates[0].outcome]
-    outcomes: list[ReceptionOutcome] = []
-    for i, cand in enumerate(candidates):
-        strongest_other = max(
-            c.rssi_dbm for j, c in enumerate(candidates) if j != i
-        )
-        dominant = cand.rssi_dbm >= strongest_other + capture_threshold_db
-        if dominant and cand.outcome is ReceptionOutcome.DECODED:
-            outcomes.append(ReceptionOutcome.DECODED)
-        else:
-            outcomes.append(ReceptionOutcome.COLLIDED)
-    return outcomes
+    if busy:
+        return ReceptionOutcome.TX_BUSY
+    if not rival_rssi_dbm:
+        return clean
+    if (
+        clean is ReceptionOutcome.DECODED
+        and rssi_dbm >= max(rival_rssi_dbm) + capture_threshold_db
+    ):
+        return ReceptionOutcome.DECODED
+    return ReceptionOutcome.COLLIDED
 
 
 def propagate(
@@ -360,31 +360,27 @@ def propagate(
 
 
 class _AirFrame:
-    """A frame in flight plus its per-receiver candidates."""
+    """A frame in flight, its per-receiver candidates and the frames it overlapped."""
 
-    __slots__ = ("transmitter", "packet", "start_ns", "end_ns", "candidates", "rssi_at")
+    __slots__ = ("transmitter", "packet", "end_ns", "candidates", "rssi_at", "rivals")
 
     def __init__(
         self,
         transmitter: str,
         packet: MeshPacket,
-        start_ns: int,
         end_ns: int,
         candidates: list[ReceptionRecord],
     ):
         self.transmitter = transmitter
         self.packet = packet
-        self.start_ns = start_ns
         self.end_ns = end_ns
         self.candidates = candidates
         self.rssi_at = {c.receiver: c.rssi_dbm for c in candidates}
-
-    def overlaps(self, start_ns: int, end_ns: int) -> bool:
-        return self.start_ns < end_ns and self.end_ns > start_ns
+        self.rivals: list[_AirFrame] = []
 
 
 class _NodeRuntime:
-    __slots__ = ("spec", "radio", "state", "route", "busy_until_ns", "tx_intervals")
+    __slots__ = ("spec", "radio", "state", "route", "busy_until_ns", "airtime_ns")
 
     def __init__(self, spec: NodeSpec, radio: RadioConfig, state: RouterState, route: Route | None):
         self.spec = spec
@@ -392,21 +388,12 @@ class _NodeRuntime:
         self.state = state
         self.route = route
         self.busy_until_ns = 0
-        self.tx_intervals: list[tuple[int, int]] = []
+        self.airtime_ns = 0  # time on air inside [0, duration]
 
     def position_at(self, time_s: float) -> LatLonAlt:
         if self.route is not None:
             return self.route.position_at(time_s)
         return self.spec.position
-
-    def transmitted_during(self, start_ns: int, end_ns: int) -> bool:
-        # Intervals are sequential, so scan back only while they can overlap.
-        for tx_start, tx_end in reversed(self.tx_intervals):
-            if tx_end <= start_ns:
-                return False
-            if tx_start < end_ns:
-                return True
-        return False
 
 
 class _Simulation:
@@ -417,7 +404,7 @@ class _Simulation:
         self.shadow_rng = random.Random(derive_seed(scenario.seed, "shadow"))
         self.heap: list[tuple[int, int, Event]] = []
         self.seq = 0
-        self.recent_frames: deque[_AirFrame] = deque()
+        self.on_air: list[_AirFrame] = []
         self.flood_initial_hop: dict[tuple[str, int], int] = {}
         self.report = SimReport(
             scenario_name=scenario.name,
@@ -529,7 +516,7 @@ class _Simulation:
         toa_ns = round(time_on_air_s(len(packet.payload), node.radio) * NS_PER_S)
         start_ns, end_ns = event.time_ns, event.time_ns + toa_ns
         node.busy_until_ns = end_ns
-        node.tx_intervals.append((start_ns, end_ns))
+        node.airtime_ns += min(end_ns, self.duration_ns) - min(start_ns, self.duration_ns)
         self.report.transmissions += 1
         time_s = start_ns / NS_PER_S
         positions = {nid: rt.position_at(time_s) for nid, rt in self.nodes.items()}
@@ -544,32 +531,36 @@ class _Simulation:
             self.scenario.default_env,
             self.shadow_rng,
         )
-        frame = _AirFrame(event.subject, packet, start_ns, end_ns, candidates)
-        self.recent_frames.append(frame)
+        frame = _AirFrame(event.subject, packet, end_ns, candidates)
+        # Every frame on the air started no later than this one; those that
+        # end after it starts overlap it (touching end to start is no overlap).
+        for g in self.on_air:
+            if g.end_ns > start_ns:
+                g.rivals.append(frame)
+                frame.rivals.append(g)
+        self.on_air.append(frame)
         self.push(end_ns, EventKind.TX_END, event.subject, packet=packet, data=frame)
 
     def on_tx_end(self, event: Event) -> None:
         frame: _AirFrame = event.data
-        self.prune_frames(event.time_ns)
+        self.on_air.remove(frame)
+        # A node that sent a rival was transmitting during this frame: every
+        # started transmission is a frame, and a busy radio defers its start.
+        senders = {g.transmitter for g in frame.rivals}
         for cand in frame.candidates:
-            rx = self.nodes[cand.receiver]
-            if rx.transmitted_during(frame.start_ns, frame.end_ns):
-                cand.outcome = ReceptionOutcome.TX_BUSY
-            else:
-                rivals = [
-                    g.rssi_at[cand.receiver]
-                    for g in self.recent_frames
-                    if g is not frame
-                    and g.transmitter != cand.receiver
-                    and g.overlaps(frame.start_ns, frame.end_ns)
-                ]
-                if rivals:
-                    dominant = cand.rssi_dbm >= max(rivals) + self.scenario.capture_threshold_db
-                    if not (dominant and cand.outcome is ReceptionOutcome.DECODED):
-                        cand.outcome = ReceptionOutcome.COLLIDED
+            rx = cand.receiver
+            cand.outcome = judge(
+                cand.outcome,
+                cand.rssi_dbm,
+                [g.rssi_at[rx] for g in frame.rivals if g.transmitter != rx],
+                rx in senders,
+                self.scenario.capture_threshold_db,
+            )
             self.report.receptions.append(cand)
             if cand.outcome is ReceptionOutcome.DECODED:
                 self.deliver(cand, frame.packet, event.time_ns)
+        # Frames that overlapped point at each other; break the cycle.
+        frame.rivals.clear()
 
     def deliver(self, cand: ReceptionRecord, packet: MeshPacket, now_ns: int) -> None:
         rx = self.nodes[cand.receiver]
@@ -601,17 +592,9 @@ class _Simulation:
                     fire_ns, EventKind.REBROADCAST_FIRE, cand.receiver, packet=action.packet
                 )
 
-    def prune_frames(self, now_ns: int) -> None:
-        while self.recent_frames and self.recent_frames[0].end_ns < now_ns - _FRAME_WINDOW_NS:
-            self.recent_frames.popleft()
-
     def finish(self) -> None:
         for nid, rt in self.nodes.items():
-            busy_ns = sum(
-                max(0, min(end, self.duration_ns) - min(start, self.duration_ns))
-                for start, end in rt.tx_intervals
-            )
-            self.report.airtime_busy_fraction[nid] = busy_ns / self.duration_ns
+            self.report.airtime_busy_fraction[nid] = rt.airtime_ns / self.duration_ns
 
 
 def run(scenario: Scenario, collect_trace: bool = False) -> SimReport:

@@ -12,6 +12,7 @@ import bisect
 import functools
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from types import UnionType
@@ -36,6 +37,7 @@ GATEWAY_OUTPUTS = frozenset({"map_csv", "map_kml", "uplinks", "series"})
 
 DEFAULT_EPOCH_S = 1_700_000_000
 DEFAULT_CAPTURE_THRESHOLD_DB = 6.0
+NS_PER_S = 1_000_000_000  # the simulation clock ticks in nanoseconds
 
 REFERENCE_LOSS_915_DB = reference_loss_1m_db(915e6)
 
@@ -197,6 +199,9 @@ class Scenario:
             v.append("name: must not be empty")
         if self.duration_s <= 0:
             v.append(f"duration_s: {self.duration_s} must be positive")
+        elif not self.duration_s * NS_PER_S <= sys.float_info.max:
+            # Unlike math.isfinite, this comparison also holds for huge ints.
+            v.append(f"duration_s: {self.duration_s} overflows the nanosecond clock")
         if self.seed < 0:
             v.append(f"seed: {self.seed} must be a non-negative integer")
         if self.epoch_s < 0:
@@ -216,10 +221,14 @@ class Scenario:
             check_position(where, node.position)
             check_route(f"{where}.route", node.route)
             for j, app in enumerate(node.apps):
-                if (
-                    app.payload_source is PayloadSource.TEXT_FIXED
-                    and len(app.text.encode("utf-8")) > MAX_PAYLOAD_BYTES
-                ):
+                if app.payload_source is not PayloadSource.TEXT_FIXED:
+                    continue
+                try:
+                    size = len(app.text.encode("utf-8"))
+                except UnicodeEncodeError as exc:
+                    v.append(f"{where}: apps[{j}] text is not encodable as UTF-8 ({exc.reason})")
+                    continue
+                if size > MAX_PAYLOAD_BYTES:
                     v.append(
                         f"{where}: apps[{j}] text exceeds {MAX_PAYLOAD_BYTES} bytes"
                     )

@@ -202,6 +202,32 @@ def test_non_finite_number_is_usage_error(tmp_path, capsys, where, value):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("value", [1e300, 10**400], ids=["float", "integer"])
+def test_duration_beyond_the_clock_is_usage_error(tmp_path, capsys, value):
+    # Finite, but not in nanoseconds: the simulation clock cannot hold it.
+    obj = k4_scenario().to_dict()
+    obj["duration_s"] = value
+    path = tmp_path / "huge_duration.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: duration_s: {value} overflows the nanosecond clock\n"
+    )
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_lone_surrogate_text_is_usage_error(tmp_path, capsys):
+    # json.load accepts the escape "\ud800", but no UTF-8 payload can carry it.
+    obj = k4_scenario().to_dict()
+    obj["nodes"][0]["apps"][0]["text"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes[0] (node0): apps[0] text is not encodable as UTF-8")
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_unparseable_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

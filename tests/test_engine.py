@@ -10,11 +10,10 @@ from meshsim import engine
 from meshsim.engine import (
     LinkTable,
     ReceptionOutcome,
-    ReceptionRecord,
     derive_seed,
-    resolve_collisions,
+    judge,
 )
-from meshsim.geo import LatLonAlt
+from meshsim.geo import node_distance_m
 from meshsim.mesh import MeshPacket, NodeRole, Port
 from meshsim.phy import RadioConfig, sensitivity_dbm, time_on_air_s
 from meshsim.scenarios import (
@@ -63,76 +62,47 @@ def test_link_table_symmetric_and_directed():
 # --- collision resolution ---------------------------------------------------------
 
 
-def make_candidate(rssi, outcome=ReceptionOutcome.DECODED):
-    return ReceptionRecord(
-        time_s=1.0,
-        transmitter="t",
-        receiver="r",
-        origin="t",
-        packet_id=1,
-        port="TEXT_MESSAGE_APP",
-        hop_limit=1,
-        rssi_dbm=rssi,
-        snr_db=10.0,
-        distance_m=100.0,
-        outcome=outcome,
-        tx_position=LatLonAlt(0.0, 0.0, 0.0),
-    )
+DECODED, COLLIDED = ReceptionOutcome.DECODED, ReceptionOutcome.COLLIDED
 
 
 def test_capture_ten_db_gap():
-    strong, weak = make_candidate(-70.0), make_candidate(-80.0)
-    assert resolve_collisions([strong, weak]) == [
-        ReceptionOutcome.DECODED,
-        ReceptionOutcome.COLLIDED,
-    ]
+    assert judge(DECODED, -70.0, [-80.0], False, 6.0) is DECODED
+    assert judge(DECODED, -80.0, [-70.0], False, 6.0) is COLLIDED
 
 
 def test_equal_power_destroys_both():
-    a, b = make_candidate(-75.0), make_candidate(-75.0)
-    assert resolve_collisions([a, b]) == [
-        ReceptionOutcome.COLLIDED,
-        ReceptionOutcome.COLLIDED,
-    ]
+    assert judge(DECODED, -75.0, [-75.0], False, 6.0) is COLLIDED
 
 
 def test_capture_threshold_is_inclusive():
-    strong, weak = make_candidate(-70.0), make_candidate(-76.0)
-    assert resolve_collisions([strong, weak], capture_threshold_db=6.0) == [
-        ReceptionOutcome.DECODED,
-        ReceptionOutcome.COLLIDED,
-    ]
-    just_under = make_candidate(-75.9)
-    assert resolve_collisions([strong, just_under], capture_threshold_db=6.0) == [
-        ReceptionOutcome.COLLIDED,
-        ReceptionOutcome.COLLIDED,
-    ]
+    assert judge(DECODED, -70.0, [-76.0], False, 6.0) is DECODED
+    assert judge(DECODED, -76.0, [-70.0], False, 6.0) is COLLIDED
+    assert judge(DECODED, -70.0, [-75.9], False, 6.0) is COLLIDED
+    assert judge(DECODED, -75.9, [-70.0], False, 6.0) is COLLIDED
 
 
 def test_dominance_cannot_rescue_undecodable_frame():
-    strong = make_candidate(-70.0, outcome=ReceptionOutcome.BELOW_SNR_FLOOR)
-    weak = make_candidate(-90.0)
-    assert resolve_collisions([strong, weak]) == [
-        ReceptionOutcome.COLLIDED,
-        ReceptionOutcome.COLLIDED,
-    ]
+    strong = ReceptionOutcome.BELOW_SNR_FLOOR
+    assert judge(strong, -70.0, [-90.0], False, 6.0) is COLLIDED
+    assert judge(DECODED, -90.0, [-70.0], False, 6.0) is COLLIDED
 
 
 def test_singleton_passes_through():
-    lone = make_candidate(-120.0, outcome=ReceptionOutcome.BELOW_SENSITIVITY)
-    assert resolve_collisions([lone]) == [ReceptionOutcome.BELOW_SENSITIVITY]
+    lone = ReceptionOutcome.BELOW_SENSITIVITY
+    assert judge(lone, -120.0, [], False, 6.0) is lone
 
 
 def test_three_way_pileup():
-    top = make_candidate(-60.0)
-    mid = make_candidate(-67.0)
-    low = make_candidate(-80.0)
     # Top clears mid by 7 dB: survives. Mid and low lose.
-    assert resolve_collisions([top, mid, low]) == [
-        ReceptionOutcome.DECODED,
-        ReceptionOutcome.COLLIDED,
-        ReceptionOutcome.COLLIDED,
-    ]
+    assert judge(DECODED, -60.0, [-67.0, -80.0], False, 6.0) is DECODED
+    assert judge(DECODED, -67.0, [-60.0, -80.0], False, 6.0) is COLLIDED
+    assert judge(DECODED, -80.0, [-60.0, -67.0], False, 6.0) is COLLIDED
+
+
+def test_busy_receiver_hears_nothing():
+    # A transmitting radio loses even a dominant frame that would decode.
+    assert judge(DECODED, -60.0, [-90.0], True, 6.0) is ReceptionOutcome.TX_BUSY
+    assert judge(DECODED, -60.0, [], True, 6.0) is ReceptionOutcome.TX_BUSY
 
 
 # --- small end-to-end topologies ---------------------------------------------------
@@ -214,6 +184,55 @@ def test_simultaneous_transmitters_miss_each_other():
     assert outcome_of(report, "node1", "node0") == [ReceptionOutcome.TX_BUSY]
     # Their frames overlap with comparable power at the other two nodes.
     assert ReceptionOutcome.COLLIDED in outcome_of(report, "node0", "node2")
+
+
+def test_frames_longer_than_a_minute_still_collide():
+    # At SF12 and 7.8 kHz a short frame ends long before a long frame it
+    # overlapped; the overlap destroys both however long ago it began.
+    radio = RadioConfig(spreading_factor=12, bandwidth_hz=7800.0, hop_limit=0)
+    sc = k4_scenario()
+    sends = {"node1": (0.0, "ping"), "node0": (1.0, "x" * 200)}
+    nodes = []
+    for node in sc.nodes:
+        apps = ()
+        if node.id in sends:
+            start, text = sends[node.id]
+            apps = (
+                AppSchedule(
+                    Port.TEXT_MESSAGE_APP,
+                    PayloadSource.TEXT_FIXED,
+                    period_s=1e9,
+                    start_offset_s=start,
+                    text=text,
+                ),
+            )
+        nodes.append(
+            NodeSpec(
+                id=node.id, name=node.name, role=node.role, position=node.position, apps=apps
+            )
+        )
+    sc = sc.replace(radio=radio, duration_s=300.0, nodes=tuple(nodes))
+
+    intervals = {
+        nid: (start, start + time_on_air_s(len(text.encode()), radio))
+        for nid, (start, text) in sends.items()
+    }
+    (s1, e1), (s0, e0) = intervals["node1"], intervals["node0"]
+    assert s1 < e0 and s0 < e1
+    assert e0 - s0 > 60.0
+    positions = {n.id: n.position for n in sc.nodes}
+    exponent = sc.default_env[0].env.path_loss_exponent
+    for rx in ("node2", "node3"):
+        # Same transmit power, no shadowing: the gap is the path-loss difference.
+        d0 = node_distance_m(positions["node0"], positions[rx])
+        d1 = node_distance_m(positions["node1"], positions[rx])
+        gap_db = abs(10.0 * exponent * math.log10(d0 / d1))
+        assert gap_db < sc.capture_threshold_db
+
+    report = engine.run(sc)
+    for tx in ("node0", "node1"):
+        for rx in ("node2", "node3"):
+            assert outcome_of(report, tx, rx) == [ReceptionOutcome.COLLIDED]
 
 
 # --- conservation and accounting ------------------------------------------------------

@@ -14,7 +14,19 @@ import pytest
 
 from meshsim import engine
 from meshsim.cli import write_outputs
-from meshsim.scenarios import BUILTIN_SCENARIOS, OUTPUT_KINDS
+from meshsim.geo import LatLonAlt, offset_position
+from meshsim.mesh import NodeRole, Port
+from meshsim.phy import EnvironmentClass, Terrain
+from meshsim.scenarios import (
+    BUILTIN_SCENARIOS,
+    NLOS_EXPONENT,
+    OUTPUT_KINDS,
+    REFERENCE_LOSS_915_DB,
+    EnvBand,
+    NodeSpec,
+    Scenario,
+)
+from meshsim.telemetry import AppSchedule, PayloadSource
 
 # sha256 of each output file with every output kind requested (trace on),
 # and of json.dumps(scenario.to_dict(), sort_keys=True).
@@ -79,3 +91,59 @@ def test_builtin_outputs_match_golden(name, tmp_path):
         json.dumps(BUILTIN_SCENARIOS[name]().to_dict(), sort_keys=True).encode()
     )
     assert got == GOLDEN[name]
+
+
+# sha256 of json.dumps(engine.run(_crowded_grid()).to_dict(), sort_keys=True).
+CROWDED_GRID_REPORT = "95015c056a096f01437c7635d503b3968f48e64e2e9dd973f23051b71caf1991"
+
+
+def _crowded_grid() -> Scenario:
+    """A saturated 4x4 grid: busy radios and pile-ups of many rival frames.
+
+    Nodes sit 400 m apart under NLOS shadowing with sigma 4 dB; node 0 is
+    the gateway and every odd node sends every 60 s, the senders staggered
+    2 s apart, so floods overlap heavily.
+    """
+    side = 4
+    nodes = []
+    for i in range(side * side):
+        apps = ()
+        if i % 2:
+            apps = (
+                AppSchedule(
+                    Port.TEXT_MESSAGE_APP,
+                    PayloadSource.TEXT_FIXED,
+                    period_s=60.0,
+                    start_offset_s=(i // 2) * 2.0,
+                    text="hello mesh!",
+                ),
+            )
+        nodes.append(
+            NodeSpec(
+                id=f"n{i}",
+                name=f"n{i}",
+                role=NodeRole.GATEWAY if i == 0 else NodeRole.CLIENT,
+                position=offset_position(
+                    LatLonAlt(0.0, 0.0, 0.0), (i % side) * 400.0, (i // side) * 400.0, 0.0
+                ),
+                apps=apps,
+            )
+        )
+    env = EnvironmentClass(Terrain.NLOS_BUILT, NLOS_EXPONENT, REFERENCE_LOSS_915_DB, 4.0)
+    return Scenario(
+        name="grid16",
+        duration_s=600.0,
+        seed=1,
+        nodes=tuple(nodes),
+        default_env=(EnvBand(env=env),),
+    )
+
+
+def test_crowded_grid_report_matches_golden():
+    report = engine.run(_crowded_grid())
+    counts = report.outcome_counts()
+    # The grid is here for the busy and collision paths; keep it crowded.
+    assert counts[engine.ReceptionOutcome.TX_BUSY] > 1000
+    assert counts[engine.ReceptionOutcome.COLLIDED] > 1000
+    digest = _sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+    assert digest == CROWDED_GRID_REPORT
