@@ -33,7 +33,6 @@ from .mesh import (
     RxMetadata,
 )
 from .phy import (
-    DecodeOutcome,
     EnvironmentClass,
     ExponentFit,
     RadioConfig,
@@ -67,7 +66,6 @@ __all__ = [
     "AppSchedule",
     "BUILTIN_SCENARIOS",
     "ContentionParams",
-    "DecodeOutcome",
     "DiurnalProfile",
     "EnvironmentClass",
     "ExponentFit",

@@ -29,13 +29,12 @@ from .mesh import (
     default_slot_time_s,
 )
 from .phy import (
-    DecodeOutcome,
     EnvironmentClass,
     RadioConfig,
-    decode_outcome,
     noise_floor_dbm,
     path_loss_db,
     received_signal,
+    sensitivity_dbm,
     time_on_air_s,
 )
 from .scenarios import (
@@ -53,12 +52,12 @@ __all__ = [
     "Event",
     "EventKind",
     "GatewayDelivery",
-    "LinkTable",
     "ReceptionOutcome",
     "ReceptionRecord",
     "SimReport",
     "derive_seed",
     "judge",
+    "link_overrides",
     "propagate",
     "run",
 ]
@@ -74,16 +73,8 @@ def derive_seed(master: int, *tags: object) -> int:
 class ReceptionOutcome(Enum):
     DECODED = "DECODED"
     BELOW_SENSITIVITY = "BELOW_SENSITIVITY"
-    BELOW_SNR_FLOOR = "BELOW_SNR_FLOOR"
     COLLIDED = "COLLIDED"
     TX_BUSY = "TX_BUSY"
-
-
-_FROM_DECODE = {
-    DecodeOutcome.DECODED: ReceptionOutcome.DECODED,
-    DecodeOutcome.BELOW_SENSITIVITY: ReceptionOutcome.BELOW_SENSITIVITY,
-    DecodeOutcome.BELOW_SNR_FLOOR: ReceptionOutcome.BELOW_SNR_FLOOR,
-}
 
 
 class EventKind(Enum):
@@ -109,27 +100,20 @@ class Event:
         return self.time_ns / NS_PER_S
 
 
-class LinkTable:
-    """Per-pair channel overrides; symmetric unless an entry is directed."""
+def link_overrides(links: Iterable[LinkOverride]) -> dict[tuple[str, str], LinkOverride]:
+    """Channel overrides by (transmitter, receiver).
 
-    def __init__(self, overrides: Iterable[LinkOverride] = ()):
-        self._directed: dict[tuple[str, str], LinkOverride] = {}
-        self._symmetric: dict[tuple[str, str], LinkOverride] = {}
-        for ov in overrides:
-            if ov.directed:
-                self._directed[(ov.a, ov.b)] = ov
-            else:
-                self._symmetric[self._key(ov.a, ov.b)] = ov
-
-    @staticmethod
-    def _key(a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def lookup(self, tx: str, rx: str) -> LinkOverride | None:
-        hit = self._directed.get((tx, rx))
-        if hit is not None:
-            return hit
-        return self._symmetric.get(self._key(tx, rx))
+    A symmetric entry covers both directions; a directed entry then
+    replaces it for its own direction. Among equal keys the later wins.
+    """
+    table: dict[tuple[str, str], LinkOverride] = {}
+    for ov in links:
+        if not ov.directed:
+            table[(ov.a, ov.b)] = table[(ov.b, ov.a)] = ov
+    for ov in links:
+        if ov.directed:
+            table[(ov.a, ov.b)] = ov
+    return table
 
 
 @dataclass
@@ -236,7 +220,8 @@ class SimReport:
                 "decoded": counts.get(ReceptionOutcome.DECODED, 0),
                 "collided": counts.get(ReceptionOutcome.COLLIDED, 0),
                 "below_sensitivity": counts.get(ReceptionOutcome.BELOW_SENSITIVITY, 0),
-                "below_snr_floor": counts.get(ReceptionOutcome.BELOW_SNR_FLOOR, 0),
+                # Always 0: sensitivity is already the noise floor plus the SNR floor.
+                "below_snr_floor": 0,
                 "tx_busy": counts.get(ReceptionOutcome.TX_BUSY, 0),
                 "duplicates_suppressed": self.duplicates_suppressed,
             },
@@ -298,27 +283,28 @@ def judge(
 def propagate(
     transmitter: str,
     packet: MeshPacket,
-    start_time_s: float,
+    end_time_s: float,
     positions: Mapping[str, LatLonAlt],
     radios: Mapping[str, RadioConfig],
-    link_table: LinkTable,
+    links: Mapping[tuple[str, str], LinkOverride],
     default_env: Sequence[EnvBand],
     rng: random.Random,
 ) -> list[ReceptionRecord]:
     """Compute the reception candidate at every node other than the sender.
 
     Shadowing is drawn per (link, frame) from rng unless the link pins a
-    fixed shadow value. Half-duplex losses and collisions are judged
-    later, once all overlapping frames are known.
+    fixed shadow value. The receiving radio decides alone: the frame
+    decodes when its RSSI reaches that radio's sensitivity, and SNR is
+    taken against that radio's noise floor. Half-duplex losses and
+    collisions are judged later, once all overlapping frames are known.
     """
     tx_cfg = radios[transmitter]
     tx_pos = positions[transmitter]
-    end_time_s = start_time_s + time_on_air_s(len(packet.payload), tx_cfg)
     records: list[ReceptionRecord] = []
     for receiver, rx_pos in positions.items():
         if receiver == transmitter:
             continue
-        override = link_table.lookup(transmitter, receiver)
+        override = links.get((transmitter, receiver))
         if override is not None and override.distance_m is not None:
             distance = override.distance_m
         else:
@@ -334,12 +320,13 @@ def propagate(
         else:
             shadow = 0.0
         loss = path_loss_db(distance, env, shadow)
-        rssi, snr = received_signal(tx_cfg, loss)
+        rssi = received_signal(tx_cfg, loss)[0]
         rx_cfg = radios[receiver]
-        if rx_cfg is not tx_cfg:
-            # SNR is set by the receiver's own noise floor.
-            snr = rssi - noise_floor_dbm(rx_cfg)
-        outcome = _FROM_DECODE[decode_outcome(rssi, snr, rx_cfg)]
+        snr = rssi - noise_floor_dbm(rx_cfg)
+        if rssi >= sensitivity_dbm(rx_cfg):
+            outcome = ReceptionOutcome.DECODED
+        else:
+            outcome = ReceptionOutcome.BELOW_SENSITIVITY
         records.append(
             ReceptionRecord(
                 time_s=end_time_s,
@@ -400,7 +387,7 @@ class _Simulation:
     def __init__(self, scenario: Scenario, collect_trace: bool):
         self.scenario = scenario
         self.duration_ns = round(scenario.duration_s * NS_PER_S)
-        self.link_table = LinkTable(scenario.links)
+        self.links = link_overrides(scenario.links)
         self.shadow_rng = random.Random(derive_seed(scenario.seed, "shadow"))
         self.heap: list[tuple[int, int, Event]] = []
         self.seq = 0
@@ -426,6 +413,7 @@ class _Simulation:
             self.nodes[spec.id] = _NodeRuntime(
                 spec, radio, state, scenario.node_route(spec)
             )
+        self.radios = {nid: rt.radio for nid, rt in self.nodes.items()}
 
     # -- scheduling ------------------------------------------------------
 
@@ -513,21 +501,20 @@ class _Simulation:
             self.push(node.busy_until_ns, EventKind.TX_START, event.subject, packet=event.packet)
             return
         packet = event.packet
-        toa_ns = round(time_on_air_s(len(packet.payload), node.radio) * NS_PER_S)
-        start_ns, end_ns = event.time_ns, event.time_ns + toa_ns
+        toa_s = time_on_air_s(len(packet.payload), node.radio)
+        start_ns, end_ns = event.time_ns, event.time_ns + round(toa_s * NS_PER_S)
         node.busy_until_ns = end_ns
         node.airtime_ns += min(end_ns, self.duration_ns) - min(start_ns, self.duration_ns)
         self.report.transmissions += 1
         time_s = start_ns / NS_PER_S
         positions = {nid: rt.position_at(time_s) for nid, rt in self.nodes.items()}
-        radios = {nid: rt.radio for nid, rt in self.nodes.items()}
         candidates = propagate(
             event.subject,
             packet,
-            time_s,
+            time_s + toa_s,
             positions,
-            radios,
-            self.link_table,
+            self.radios,
+            self.links,
             self.scenario.default_env,
             self.shadow_rng,
         )

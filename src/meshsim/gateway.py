@@ -17,7 +17,7 @@ from typing import Any, Iterable
 from .engine import GatewayDelivery, ReceptionOutcome, SimReport
 from .geo import geo_to_local
 from .mesh import NodeRole, Port
-from .scenarios import Scenario
+from .scenarios import NS_PER_S, Scenario
 from .telemetry import CodecError, decode_irradiance, decode_position
 from .phy import round_half_away_from_zero, snr_raw_decode, snr_raw_encode
 
@@ -33,8 +33,6 @@ __all__ = [
     "uplink_from_delivery",
     "uplink_to_series",
 ]
-
-NS_PER_S = 1_000_000_000
 
 # Signal-quality buckets used for map coloring. Both thresholds inclusive
 # into the middle bucket.

@@ -1,4 +1,4 @@
-"""Managed-flooding router: duplicate suppression, hop budget, SNR backoff.
+"""Router for flooding with SNR-shaped backoff: duplicate suppression, hop budget.
 
 The router is deliberately dumb: every node refloods every new packet
 while its hop budget lasts, duplicates are dropped via a TTL cache, and
@@ -170,9 +170,8 @@ def default_slot_time_s(cfg: RadioConfig) -> float:
     return math.ceil(8.5 * symbol_time_s(cfg) * 1000.0) / 1000.0
 
 
-def should_rebroadcast(role: NodeRole, hop_limit: int) -> bool:
+def should_rebroadcast(hop_limit: int) -> bool:
     """Every role refloods while the hop budget lasts."""
-    del role  # all roles flood; kept for call-site symmetry
     return hop_limit > 0
 
 
@@ -259,7 +258,7 @@ class RouterState:
         actions = [Action(ActionKind.DELIVER_TO_APP, packet=packet)]
         if self.role is NodeRole.GATEWAY:
             actions.append(Action(ActionKind.EMIT_UPLINK, packet=packet))
-        if should_rebroadcast(self.role, packet.hop_limit):
+        if should_rebroadcast(packet.hop_limit):
             delay = backoff_delay_s(
                 rx.snr_db, self.role, self.rng, self.contention, self.slot_time_s
             )

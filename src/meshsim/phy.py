@@ -1,4 +1,4 @@
-"""LoRa physical-layer math: airtime, link budget, path loss, decode rules.
+"""LoRa physical-layer math: airtime, link budget, path loss, sensitivity.
 
 All functions here are pure. Units follow radio convention throughout:
 powers in dBm, gains in dBi, losses and ratios in dB, distances in
@@ -21,8 +21,8 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 THERMAL_NOISE_DBM_HZ = -174.0
 
 # Demodulation SNR floor per spreading factor, dB. Values are the
-# SX126x-class demodulator limits; below these the chirp correlator
-# cannot lock even when the signal is above the sensitivity power.
+# SX126x-class demodulator limits; a receiver's sensitivity is its noise
+# floor plus this margin.
 SNR_FLOOR_BY_SF = {
     7: -7.5,
     8: -10.0,
@@ -39,12 +39,6 @@ MIN_PAYLOAD_BYTES = 1
 MAX_PAYLOAD_BYTES = 255
 
 MIN_PATH_LOSS_EXPONENT = 2.0  # never better than free space
-
-
-class DecodeOutcome(Enum):
-    DECODED = "DECODED"
-    BELOW_SENSITIVITY = "BELOW_SENSITIVITY"
-    BELOW_SNR_FLOOR = "BELOW_SNR_FLOOR"
 
 
 class Terrain(Enum):
@@ -205,15 +199,6 @@ def received_signal(tx: RadioConfig, path_loss: float) -> tuple[float, float]:
     rssi = tx.tx_power_dbm + tx.antenna_gain_tx_dbi + tx.antenna_gain_rx_dbi - path_loss
     snr = rssi - noise_floor_dbm(tx)
     return rssi, snr
-
-
-def decode_outcome(rssi_dbm: float, snr_db: float, cfg: RadioConfig) -> DecodeOutcome:
-    """Classify a clean (collision-free) reception attempt."""
-    if rssi_dbm < sensitivity_dbm(cfg):
-        return DecodeOutcome.BELOW_SENSITIVITY
-    if snr_db < snr_floor_db(cfg.spreading_factor):
-        return DecodeOutcome.BELOW_SNR_FLOOR
-    return DecodeOutcome.DECODED
 
 
 def snr_raw_encode(snr_db: float) -> int:

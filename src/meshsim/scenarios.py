@@ -189,6 +189,14 @@ class Scenario:
             if not -180 <= position.longitude <= 180:
                 v.append(f"{where}: longitude {position.longitude} outside -180..180")
 
+        def encoded(where: str, text: str) -> bytes | None:
+            # json.load accepts lone surrogates such as "\ud800"; UTF-8 cannot carry them.
+            try:
+                return text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                v.append(f"{where} is not encodable as UTF-8 ({exc.reason})")
+                return None
+
         def check_route(where: str, route: Route | None) -> None:
             for j, waypoint in enumerate(route.waypoints if route else ()):
                 if waypoint.time_s < 0:
@@ -197,6 +205,7 @@ class Scenario:
 
         if not self.name:
             v.append("name: must not be empty")
+        encoded("name", self.name)
         if self.duration_s <= 0:
             v.append(f"duration_s: {self.duration_s} must be positive")
         elif not self.duration_s * NS_PER_S <= sys.float_info.max:
@@ -208,11 +217,15 @@ class Scenario:
             v.append(f"epoch_s: {self.epoch_s} must be >= 0")
         if not self.region:
             v.append("region: must not be empty")
+        encoded("region", self.region)
         if not self.nodes:
             v.append("nodes: at least one node is required")
         seen: set[str] = set()
         for i, node in enumerate(self.nodes):
-            where = f"nodes[{i}] ({node.id})"
+            where = f"nodes[{i}]"
+            if encoded(f"{where}: id", node.id) is not None:
+                where = f"{where} ({node.id})"  # keep an unencodable id out of messages
+            encoded(f"{where}: name", node.name)
             if not node.id:
                 v.append(f"{where}: node id must not be empty")
             if node.id in seen:
@@ -223,12 +236,8 @@ class Scenario:
             for j, app in enumerate(node.apps):
                 if app.payload_source is not PayloadSource.TEXT_FIXED:
                     continue
-                try:
-                    size = len(app.text.encode("utf-8"))
-                except UnicodeEncodeError as exc:
-                    v.append(f"{where}: apps[{j}] text is not encodable as UTF-8 ({exc.reason})")
-                    continue
-                if size > MAX_PAYLOAD_BYTES:
+                text = encoded(f"{where}: apps[{j}] text", app.text)
+                if text is not None and len(text) > MAX_PAYLOAD_BYTES:
                     v.append(
                         f"{where}: apps[{j}] text exceeds {MAX_PAYLOAD_BYTES} bytes"
                     )

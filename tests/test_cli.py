@@ -228,6 +228,28 @@ def test_lone_surrogate_text_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("name",), "error: name is not encodable as UTF-8"),
+        (("nodes", 0, "id"), "error: nodes[0]: id is not encodable as UTF-8"),
+    ],
+    ids=["name", "node-id"],
+)
+def test_lone_surrogate_string_is_usage_error(tmp_path, capsys, path, message):
+    obj = k4_scenario().to_dict()
+    *parents, key = path
+    target = obj
+    for step in parents:
+        target = target[step]
+    target[key] = "\ud800"
+    scenario = tmp_path / "surrogate.json"
+    scenario.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(scenario), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_unparseable_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -8,15 +8,16 @@ from conftest import flood_oracle
 
 from meshsim import engine
 from meshsim.engine import (
-    LinkTable,
     ReceptionOutcome,
     derive_seed,
     judge,
+    link_overrides,
 )
 from meshsim.geo import node_distance_m
 from meshsim.mesh import MeshPacket, NodeRole, Port
-from meshsim.phy import RadioConfig, sensitivity_dbm, time_on_air_s
+from meshsim.phy import EnvironmentClass, RadioConfig, Terrain, sensitivity_dbm, time_on_air_s
 from meshsim.scenarios import (
+    REFERENCE_LOSS_915_DB,
     LinkOverride,
     NodeSpec,
     campus_scenario,
@@ -52,11 +53,11 @@ def test_derive_seed_is_stable_and_stream_separated():
 def test_link_table_symmetric_and_directed():
     sym = LinkOverride(a="x", b="y", distance_m=100.0)
     directed = LinkOverride(a="y", b="x", distance_m=50.0, directed=True)
-    table = LinkTable([sym, directed])
-    assert table.lookup("x", "y").distance_m == 100.0
+    table = link_overrides([sym, directed])
+    assert table[("x", "y")].distance_m == 100.0
     # Directed entry wins for its own direction only.
-    assert table.lookup("y", "x").distance_m == 50.0
-    assert table.lookup("x", "z") is None
+    assert table[("y", "x")].distance_m == 50.0
+    assert ("x", "z") not in table
 
 
 # --- collision resolution ---------------------------------------------------------
@@ -82,7 +83,7 @@ def test_capture_threshold_is_inclusive():
 
 
 def test_dominance_cannot_rescue_undecodable_frame():
-    strong = ReceptionOutcome.BELOW_SNR_FLOOR
+    strong = ReceptionOutcome.BELOW_SENSITIVITY
     assert judge(strong, -70.0, [-90.0], False, 6.0) is COLLIDED
     assert judge(DECODED, -90.0, [-70.0], False, 6.0) is COLLIDED
 
@@ -307,6 +308,48 @@ def test_link_override_pins_distance():
     assert rec.distance_m == 5e6
     assert rec.outcome is ReceptionOutcome.BELOW_SENSITIVITY
     assert rec.rssi_dbm < sensitivity_dbm(RadioConfig())
+
+
+def test_receiver_decides_with_its_own_radio():
+    # node0 reaches node1 and node2 over the same pinned free-space link.
+    # node2's radio has an 11 dB noise figure instead of the default 6 dB,
+    # which lifts its sensitivity above an RSSI that node1 still decodes.
+    noise_floor = {nf: -174.0 + 10.0 * math.log10(125e3) + nf for nf in (6.0, 11.0)}
+    sf11_snr_floor = -17.5
+    target = noise_floor[6.0] + sf11_snr_floor + 2.5
+    distance = 10.0 ** ((22.0 - REFERENCE_LOSS_915_DB - target) / 20.0)
+    rssi = 22.0 - (REFERENCE_LOSS_915_DB + 20.0 * math.log10(distance))
+    assert noise_floor[6.0] + sf11_snr_floor < rssi < noise_floor[11.0] + sf11_snr_floor
+
+    sc = k4_scenario()
+    nodes = list(sc.nodes)
+    node2 = nodes[2]
+    nodes[2] = NodeSpec(
+        id=node2.id,
+        name=node2.name,
+        role=node2.role,
+        position=node2.position,
+        radio=RadioConfig(noise_figure_db=11.0),
+    )
+    free_space = EnvironmentClass(Terrain.LOS_OPEN, 2.0, REFERENCE_LOSS_915_DB)
+    links = tuple(
+        LinkOverride(a="node0", b=rx, distance_m=distance, env=free_space, shadow_db=0.0)
+        for rx in ("node1", "node2")
+    )
+    report = engine.run(sc.replace(nodes=tuple(nodes), links=links))
+    first = min(r.time_s for r in report.receptions if r.transmitter == "node0")
+    got = {
+        r.receiver: r
+        for r in report.receptions
+        if r.transmitter == "node0" and r.time_s == first
+    }
+    for rx, nf, outcome in (
+        ("node1", 6.0, ReceptionOutcome.DECODED),
+        ("node2", 11.0, ReceptionOutcome.BELOW_SENSITIVITY),
+    ):
+        assert got[rx].outcome is outcome
+        assert got[rx].rssi_dbm == pytest.approx(rssi, abs=1e-9)
+        assert got[rx].snr_db == pytest.approx(rssi - noise_floor[nf], abs=1e-9)
 
 
 def test_fixed_shadow_override_is_deterministic():

@@ -184,9 +184,14 @@ def test_duplicate_matches_on_origin_and_id_only():
 
 
 def test_should_rebroadcast_all_roles():
+    assert should_rebroadcast(1)
+    assert not should_rebroadcast(0)
+    # Every role floods on the same hop budget rule.
     for role in NodeRole:
-        assert should_rebroadcast(role, 1)
-        assert not should_rebroadcast(role, 0)
+        for hop_limit, floods in ((1, True), (0, False)):
+            actions = RouterState("n", role).on_receive(make_packet(hop_limit=hop_limit), rx_at(0.0))
+            scheduled = any(a.kind is ActionKind.SCHEDULE_REBROADCAST for a in actions)
+            assert scheduled is floods, (role, hop_limit)
 
 
 # --- contention backoff ------------------------------------------------------

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsim.phy import (
-    DecodeOutcome,
     EnvironmentClass,
     InsufficientDataError,
     RadioConfig,
     Terrain,
     calibrate_exponent,
-    decode_outcome,
     low_data_rate_optimize,
     noise_floor_dbm,
     path_loss_db,
@@ -166,21 +164,6 @@ def test_received_signal_budget():
     rssi, snr = received_signal(cfg, 100.0)
     assert rssi == pytest.approx(22.0 - 100.0)
     assert snr == pytest.approx(rssi - noise_floor_dbm(cfg))
-
-
-def test_decode_outcome_partition():
-    cfg = RadioConfig()
-    floor = noise_floor_dbm(cfg)
-    ok = sensitivity_dbm(cfg) + 5.0
-    assert decode_outcome(ok, ok - floor, cfg) is DecodeOutcome.DECODED
-    # Below sensitivity wins even though the SNR is also under the floor.
-    weak = sensitivity_dbm(cfg) - 1.0
-    assert decode_outcome(weak, weak - floor, cfg) is DecodeOutcome.BELOW_SENSITIVITY
-    # Strong enough absolute power, but drowned relative to the noise.
-    assert (
-        decode_outcome(ok, snr_floor_db(11) - 0.1, cfg)
-        is DecodeOutcome.BELOW_SNR_FLOOR
-    )
 
 
 def test_snr_codec_quarter_db():
