@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .geo import LatLonAlt, node_distance_m
 from .mesh import (
@@ -31,9 +31,9 @@ from .mesh import (
 from .phy import (
     EnvironmentClass,
     RadioConfig,
+    link_budget_dbm,
     noise_floor_dbm,
     path_loss_db,
-    received_signal,
     sensitivity_dbm,
     time_on_air_s,
 )
@@ -52,6 +52,7 @@ __all__ = [
     "Event",
     "EventKind",
     "GatewayDelivery",
+    "Link",
     "ReceptionOutcome",
     "ReceptionRecord",
     "SimReport",
@@ -116,7 +117,7 @@ def link_overrides(links: Iterable[LinkOverride]) -> dict[tuple[str, str], LinkO
     return table
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceptionRecord:
     """One transmitter-receiver candidate for one frame."""
 
@@ -280,67 +281,48 @@ def judge(
     return ReceptionOutcome.COLLIDED
 
 
+class Link(NamedTuple):
+    """One directed link's channel; shadow_db None means a draw from N(0, sigma_db) per frame."""
+
+    distance_m: float
+    mean_loss_db: float
+    shadow_db: float | None
+    sigma_db: float
+    budget_dbm: float
+    noise_floor_dbm: float
+    sensitivity_dbm: float
+
+
 def propagate(
     transmitter: str,
     packet: MeshPacket,
     end_time_s: float,
-    positions: Mapping[str, LatLonAlt],
-    radios: Mapping[str, RadioConfig],
-    links: Mapping[tuple[str, str], LinkOverride],
-    default_env: Sequence[EnvBand],
+    tx_position: LatLonAlt,
+    links: Mapping[str, Link],
     rng: random.Random,
 ) -> list[ReceptionRecord]:
-    """Compute the reception candidate at every node other than the sender.
+    """Compute the reception candidate at every receiver of one frame.
 
-    Shadowing is drawn per (link, frame) from rng unless the link pins a
-    fixed shadow value. The receiving radio decides alone: the frame
-    decodes when its RSSI reaches that radio's sensitivity, and SNR is
-    taken against that radio's noise floor. Half-duplex losses and
-    collisions are judged later, once all overlapping frames are known.
+    links maps each receiver, in node order, to its channel from the
+    sender; each shadowing draw comes from rng in that order. The
+    receiving radio decides alone: the frame decodes when its RSSI
+    reaches that radio's sensitivity, and SNR is taken against that
+    radio's noise floor. Half-duplex losses and collisions are judged
+    later, once all overlapping frames are known.
     """
-    tx_cfg = radios[transmitter]
-    tx_pos = positions[transmitter]
+    decoded, weak = ReceptionOutcome.DECODED, ReceptionOutcome.BELOW_SENSITIVITY
+    port = packet.port.value
     records: list[ReceptionRecord] = []
-    for receiver, rx_pos in positions.items():
-        if receiver == transmitter:
-            continue
-        override = links.get((transmitter, receiver))
-        if override is not None and override.distance_m is not None:
-            distance = override.distance_m
-        else:
-            distance = node_distance_m(tx_pos, rx_pos)
-        if override is not None and override.env is not None:
-            env = override.env
-        else:
-            env = env_for_distance(default_env, distance)
-        if override is not None and override.shadow_db is not None:
-            shadow = override.shadow_db
-        elif env.shadowing_sigma_db > 0:
-            shadow = rng.gauss(0.0, env.shadowing_sigma_db)
-        else:
-            shadow = 0.0
-        loss = path_loss_db(distance, env, shadow)
-        rssi = received_signal(tx_cfg, loss)[0]
-        rx_cfg = radios[receiver]
-        snr = rssi - noise_floor_dbm(rx_cfg)
-        if rssi >= sensitivity_dbm(rx_cfg):
-            outcome = ReceptionOutcome.DECODED
-        else:
-            outcome = ReceptionOutcome.BELOW_SENSITIVITY
+    for receiver, (distance, mean_loss, shadow, sigma, budget, noise, sensitivity) in links.items():
+        if shadow is None:
+            shadow = rng.gauss(0.0, sigma)
+        # Same terms in the same order as path_loss_db and link_budget_dbm.
+        rssi = budget - (mean_loss + shadow)
+        outcome = decoded if rssi >= sensitivity else weak
         records.append(
             ReceptionRecord(
-                time_s=end_time_s,
-                transmitter=transmitter,
-                receiver=receiver,
-                origin=packet.origin,
-                packet_id=packet.packet_id,
-                port=packet.port.value,
-                hop_limit=packet.hop_limit,
-                rssi_dbm=rssi,
-                snr_db=snr,
-                distance_m=distance,
-                outcome=outcome,
-                tx_position=tx_pos,
+                end_time_s, transmitter, receiver, packet.origin, packet.packet_id, port,
+                packet.hop_limit, rssi, rssi - noise, distance, outcome, tx_position,
             )
         )
     return records
@@ -413,7 +395,41 @@ class _Simulation:
             self.nodes[spec.id] = _NodeRuntime(
                 spec, radio, state, scenario.node_route(spec)
             )
-        self.radios = {nid: rt.radio for nid, rt in self.nodes.items()}
+        # One Link per directed pair, receivers in node order, built once.
+        # A pair with a moving end holds None and is rebuilt at every frame.
+        moving = {nid for nid, rt in self.nodes.items() if rt.route is not None}
+        self.moving = bool(moving)
+        fixed = {nid: rt.spec.position for nid, rt in self.nodes.items()}
+        self.table = {
+            tx: {rx: None if moving & {tx, rx} else self.link(tx, rx, fixed)
+                 for rx in self.nodes if rx != tx}
+            for tx in self.nodes
+        }
+
+    def link(self, tx: str, rx: str, positions: Mapping[str, LatLonAlt]) -> Link:
+        override = self.links.get((tx, rx))
+        if override is not None and override.distance_m is not None:
+            distance = override.distance_m
+        else:
+            distance = node_distance_m(positions[tx], positions[rx])
+        if override is not None and override.env is not None:
+            env = override.env
+        else:
+            env = env_for_distance(self.scenario.default_env, distance)
+        if override is not None and override.shadow_db is not None:
+            shadow = override.shadow_db
+        else:
+            shadow = None if env.shadowing_sigma_db > 0 else 0.0
+        rx_radio = self.nodes[rx].radio
+        return Link(
+            distance,
+            path_loss_db(distance, env),
+            shadow,
+            env.shadowing_sigma_db,
+            link_budget_dbm(self.nodes[tx].radio, rx_radio),
+            noise_floor_dbm(rx_radio),
+            sensitivity_dbm(rx_radio),
+        )
 
     # -- scheduling ------------------------------------------------------
 
@@ -430,11 +446,19 @@ class _Simulation:
         heapq.heappush(self.heap, (time_ns, self.seq, event))
 
     def schedule_app_emissions(self) -> None:
+        # Only each app's next emission waits on the heap. Emission i keeps the
+        # seq it had when whole schedules were queued up front: base + i + 1.
         for spec in self.scenario.nodes:
             for app in spec.apps:
-                for i in range(app.emission_count(self.scenario.duration_s)):
-                    t_s = app.start_offset_s + i * app.period_s
-                    self.push(round(t_s * NS_PER_S), EventKind.APP_EMIT, spec.id, data=app)
+                count = app.emission_count(self.scenario.duration_s)
+                self.push_emission(self.seq + 1, spec.id, app, 0, count)
+                self.seq += count
+
+    def push_emission(self, seq: int, subject: str, app, i: int, count: int) -> None:
+        if i < count:
+            time_ns = round((app.start_offset_s + i * app.period_s) * NS_PER_S)
+            event = Event(time_ns, seq, EventKind.APP_EMIT, subject, data=(app, i, count))
+            heapq.heappush(self.heap, (time_ns, seq, event))
 
     # -- event handlers ---------------------------------------------------
 
@@ -468,7 +492,8 @@ class _Simulation:
 
     def on_app_emit(self, event: Event) -> None:
         node = self.nodes[event.subject]
-        app = event.data
+        app, i, count = event.data
+        self.push_emission(event.seq + 1, event.subject, app, i + 1, count)
         time_s = event.time_ns / NS_PER_S
         payload = self.build_payload(node, app, time_s)
         packet = node.state.originate(app.port, payload, node.radio.hop_limit, time_s)
@@ -507,15 +532,16 @@ class _Simulation:
         node.airtime_ns += min(end_ns, self.duration_ns) - min(start_ns, self.duration_ns)
         self.report.transmissions += 1
         time_s = start_ns / NS_PER_S
-        positions = {nid: rt.position_at(time_s) for nid, rt in self.nodes.items()}
+        links = self.table[event.subject]
+        if self.moving:
+            positions = {nid: rt.position_at(time_s) for nid, rt in self.nodes.items()}
+            links = {rx: row or self.link(event.subject, rx, positions) for rx, row in links.items()}
         candidates = propagate(
             event.subject,
             packet,
             time_s + toa_s,
-            positions,
-            self.radios,
-            self.links,
-            self.scenario.default_env,
+            node.position_at(time_s),
+            links,
             self.shadow_rng,
         )
         frame = _AirFrame(event.subject, packet, end_ns, candidates)
@@ -536,11 +562,14 @@ class _Simulation:
         senders = {g.transmitter for g in frame.rivals}
         for cand in frame.candidates:
             rx = cand.receiver
+            busy = rx in senders
+            # judge rules a busy receiver out before it reads the rivals;
+            # a receiver that is not busy sent none of them.
             cand.outcome = judge(
                 cand.outcome,
                 cand.rssi_dbm,
-                [g.rssi_at[rx] for g in frame.rivals if g.transmitter != rx],
-                rx in senders,
+                () if busy else [g.rssi_at[rx] for g in frame.rivals],
+                busy,
                 self.scenario.capture_threshold_db,
             )
             self.report.receptions.append(cand)

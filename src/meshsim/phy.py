@@ -194,9 +194,14 @@ def path_loss_db(distance_m: float, env: EnvironmentClass, shadow_db: float = 0.
     )
 
 
+def link_budget_dbm(tx: RadioConfig, rx: RadioConfig) -> float:
+    """Power at the receiver before path loss: transmit power plus both antenna gains."""
+    return tx.tx_power_dbm + tx.antenna_gain_tx_dbi + rx.antenna_gain_rx_dbi
+
+
 def received_signal(tx: RadioConfig, path_loss: float) -> tuple[float, float]:
-    """Link budget for one frame: returns (rssi_dbm, snr_db)."""
-    rssi = tx.tx_power_dbm + tx.antenna_gain_tx_dbi + tx.antenna_gain_rx_dbi - path_loss
+    """(rssi_dbm, snr_db) of one frame between two radios configured like tx."""
+    rssi = link_budget_dbm(tx, tx) - path_loss
     snr = rssi - noise_floor_dbm(tx)
     return rssi, snr
 

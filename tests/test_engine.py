@@ -360,6 +360,95 @@ def test_fixed_shadow_override_is_deterministic():
     assert rssi == pytest.approx(base - 7.0, abs=1e-9)
 
 
+def test_receive_gain_comes_from_the_receiving_radio():
+    # node2 has a 6 dB receive antenna. It adds to what node2 hears and to
+    # nothing node2 sends; k4 has no shadowing, so RSSI is the budget
+    # minus free-space loss over the geometric distance.
+    sc = k4_scenario()
+    positions = {n.id: n.position for n in sc.nodes}
+    nodes = list(sc.nodes)
+    node2 = nodes[2]
+    nodes[2] = NodeSpec(
+        id=node2.id,
+        name=node2.name,
+        role=node2.role,
+        position=node2.position,
+        radio=RadioConfig(antenna_gain_rx_dbi=6.0),
+    )
+    baseline = engine.run(sc)
+    report = engine.run(sc.replace(nodes=tuple(nodes)))
+
+    def oracle(tx, rx, gain_rx_dbi):
+        d = node_distance_m(positions[tx], positions[rx])
+        return 22.0 + gain_rx_dbi - (REFERENCE_LOSS_915_DB + 20.0 * math.log10(d))
+
+    first = [r for r in report.receptions if r.time_s == report.receptions[0].time_s]
+    assert {r.transmitter for r in first} == {"node0"}
+    before = {r.receiver: r for r in baseline.receptions[: len(first)]}
+    for rec in first:
+        if rec.receiver == "node2":
+            assert rec.rssi_dbm == pytest.approx(oracle("node0", "node2", 6.0), abs=1e-9)
+        else:
+            assert rec == before[rec.receiver]
+    sent_by_node2 = [r for r in report.receptions if r.transmitter == "node2"]
+    assert sent_by_node2
+    for rec in sent_by_node2:
+        assert rec.rssi_dbm == pytest.approx(oracle("node2", rec.receiver, 0.0), abs=1e-9)
+
+
+def test_colocated_static_pair_warns_once_per_run(caplog):
+    # node1 sits on node0 and sends ten frames; only node1->node0 is
+    # shorter than the 1 m reference, because node0->node1 is pinned.
+    sc = k4_scenario()
+    node0, node1 = sc.nodes[:2]
+    chatter = AppSchedule(
+        Port.TEXT_MESSAGE_APP, PayloadSource.TEXT_FIXED, period_s=2.0, text="here"
+    )
+    sc = sc.replace(
+        duration_s=19.0,
+        nodes=(
+            node0,
+            NodeSpec(
+                id=node1.id,
+                name=node1.name,
+                role=node1.role,
+                position=node0.position,
+                apps=(chatter,),
+            ),
+        )
+        + sc.nodes[2:],
+        links=(LinkOverride(a="node0", b="node1", distance_m=10.0, directed=True),),
+    )
+    with caplog.at_level("WARNING", logger="meshsim.phy"):
+        report = engine.run(sc)
+    clamped = [r for r in report.receptions if r.transmitter == "node1" and r.receiver == "node0"]
+    assert len(clamped) >= 10
+    assert {r.distance_m for r in clamped} == {0.0}
+    assert sum("1 m reference" in rec.message for rec in caplog.records) == 1
+
+
+def test_app_emissions_wait_on_the_heap_one_at_a_time(monkeypatch):
+    sc = campus_scenario().replace(duration_s=3600.0)
+    apps_of = {node.id: len(node.apps) for node in sc.nodes}
+    assert sum(apps_of.values()) > 1
+    real_push = engine.heapq.heappush
+    peak: dict[str, int] = {}
+
+    def push(heap, item):
+        real_push(heap, item)
+        queued: dict[str, int] = {}
+        for _, _, event in heap:
+            if event.kind is engine.EventKind.APP_EMIT:
+                queued[event.subject] = queued.get(event.subject, 0) + 1
+        for node, count in queued.items():
+            peak[node] = max(peak.get(node, 0), count)
+
+    monkeypatch.setattr(engine.heapq, "heappush", push)
+    report = engine.run(sc)
+    assert sum(report.originated.values()) > len(peak)
+    assert peak == {node: n for node, n in apps_of.items() if n}
+
+
 # --- determinism and trace ---------------------------------------------------------------
 
 

@@ -16,15 +16,18 @@ from meshsim import engine
 from meshsim.cli import write_outputs
 from meshsim.geo import LatLonAlt, offset_position
 from meshsim.mesh import NodeRole, Port
-from meshsim.phy import EnvironmentClass, Terrain
+from meshsim.phy import EnvironmentClass, RadioConfig, Terrain
 from meshsim.scenarios import (
     BUILTIN_SCENARIOS,
     NLOS_EXPONENT,
     OUTPUT_KINDS,
     REFERENCE_LOSS_915_DB,
     EnvBand,
+    LinkOverride,
     NodeSpec,
+    Route,
     Scenario,
+    Waypoint,
 )
 from meshsim.telemetry import AppSchedule, PayloadSource
 
@@ -147,3 +150,74 @@ def test_crowded_grid_report_matches_golden():
     assert counts[engine.ReceptionOutcome.COLLIDED] > 1000
     digest = _sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
     assert digest == CROWDED_GRID_REPORT
+
+
+# sha256 of json.dumps(engine.run(_link_table_grid()).to_dict(), sort_keys=True).
+LINK_TABLE_GRID_REPORT = "df16046d6436d0ab4f0c7fdf8dfa5cb36fac35f1f3a1dd7e52f4fd27064e2369"
+
+
+def _link_table_grid() -> Scenario:
+    """A 3x3 grid that mixes every way a link's channel is chosen.
+
+    n4 moves back and forth across the grid while the others stand still;
+    n1->n2 has a directed distance override, n3<->n5 a symmetric one with
+    its own environment, n0<->n8 a pinned shadow, and the default
+    environment has two distance bands. n6 listens with a noisier radio.
+    """
+    side = 3
+    origin = LatLonAlt(0.0, 0.0, 0.0)
+    route = Route(
+        waypoints=(
+            Waypoint(0.0, offset_position(origin, -100.0, 400.0, 0.0)),
+            Waypoint(150.0, offset_position(origin, 900.0, 300.0, 2.0)),
+            Waypoint(300.0, offset_position(origin, -100.0, 400.0, 0.0)),
+        ),
+        loop=True,
+    )
+    nodes = []
+    for i in range(side * side):
+        apps = ()
+        if i % 2:
+            apps = (
+                AppSchedule(
+                    Port.TEXT_MESSAGE_APP,
+                    PayloadSource.TEXT_FIXED,
+                    period_s=30.0,
+                    start_offset_s=i * 1.5,
+                    text="hello mesh!",
+                ),
+            )
+        if i == 4:
+            apps = (AppSchedule(Port.POSITION_APP, PayloadSource.GNSS_TRACKER, period_s=20.0),)
+        nodes.append(
+            NodeSpec(
+                id=f"n{i}",
+                name=f"n{i}",
+                role=NodeRole.GATEWAY if i == 0 else NodeRole.CLIENT,
+                position=offset_position(origin, (i % side) * 400.0, (i // side) * 400.0, 0.0),
+                apps=apps,
+                radio=RadioConfig(noise_figure_db=9.0) if i == 6 else None,
+                route=route if i == 4 else None,
+            )
+        )
+    near = EnvironmentClass(Terrain.LOS_OPEN, 2.2, REFERENCE_LOSS_915_DB, 2.0)
+    far = EnvironmentClass(Terrain.NLOS_BUILT, NLOS_EXPONENT, REFERENCE_LOSS_915_DB, 4.0)
+    hill = EnvironmentClass(Terrain.QUASI_LOS_ELEVATED, 2.5, REFERENCE_LOSS_915_DB, 1.0)
+    return Scenario(
+        name="link-table-grid",
+        duration_s=300.0,
+        seed=3,
+        nodes=tuple(nodes),
+        default_env=(EnvBand(env=near, max_distance_m=500.0), EnvBand(env=far)),
+        links=(
+            LinkOverride(a="n1", b="n2", distance_m=50.0, directed=True),
+            LinkOverride(a="n3", b="n5", distance_m=1500.0, env=hill),
+            LinkOverride(a="n0", b="n8", shadow_db=25.0),
+        ),
+    )
+
+
+def test_link_table_grid_report_matches_golden():
+    report = engine.run(_link_table_grid())
+    digest = _sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+    assert digest == LINK_TABLE_GRID_REPORT

@@ -12,6 +12,7 @@ from meshsim.phy import (
     RadioConfig,
     Terrain,
     calibrate_exponent,
+    link_budget_dbm,
     low_data_rate_optimize,
     noise_floor_dbm,
     path_loss_db,
@@ -164,6 +165,13 @@ def test_received_signal_budget():
     rssi, snr = received_signal(cfg, 100.0)
     assert rssi == pytest.approx(22.0 - 100.0)
     assert snr == pytest.approx(rssi - noise_floor_dbm(cfg))
+
+
+def test_link_budget_takes_each_gain_from_its_own_side():
+    tx = RadioConfig(tx_power_dbm=20.0, antenna_gain_tx_dbi=3.0, antenna_gain_rx_dbi=9.0)
+    rx = RadioConfig(antenna_gain_tx_dbi=7.0, antenna_gain_rx_dbi=2.0)
+    assert link_budget_dbm(tx, rx) == 20.0 + 3.0 + 2.0
+    assert received_signal(tx, 100.0)[0] == 20.0 + 3.0 + 9.0 - 100.0
 
 
 def test_snr_codec_quarter_db():
