@@ -18,6 +18,7 @@ from .phy import (
     RadioConfig,
     reference_loss_1m_db,
     calibrate_exponent,
+    serial_sum,
 )
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -87,7 +88,7 @@ def run_calibration(path: Path) -> int:
     rssi_max) that is collapsed to its midpoint before fitting.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
@@ -132,19 +133,17 @@ def write_outputs(
 
     def emit(name: str, text: str) -> None:
         target = out_dir / name
-        target.write_text(text)
+        target.write_text(text, encoding="utf-8")
         written.append(target)
 
-    emit(
-        "summary.json",
-        json.dumps(report.summary_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    summary = report.summary_dict()
+    emit("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs = scenario.outputs
     if "report" in outputs:
-        emit(
-            "report.json",
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
+        target = out_dir / "report.json"
+        with target.open("w", encoding="utf-8") as handle:
+            report.write_json(handle, summary)
+        written.append(target)
     if "trace" in outputs:
         emit("trace.log", "\n".join(report.trace or []) + "\n")
     if "map_csv" in outputs:
@@ -164,8 +163,7 @@ def write_outputs(
     return written
 
 
-def print_summary(report: engine.SimReport, written: list[Path]) -> None:
-    s = report.summary_dict()
+def print_summary(s: dict, written: list[Path]) -> None:
     c = s["counts"]
     print(f"scenario {s['scenario']} seed {s['seed']} duration {s['duration_s']:g} s")
     print(
@@ -197,7 +195,7 @@ def _merge_summaries(
         "scenario": scenario.name,
         "seeds": seeds,
         "mean_pdr": {
-            origin: round(sum(vals) / len(vals), 6)
+            origin: round(serial_sum(vals) / len(vals), 6)
             for origin, vals in sorted(pdr_samples.items())
         },
         "runs": {str(seed): summaries[seed] for seed in seeds},
@@ -259,19 +257,23 @@ def main(argv: list[str] | None = None) -> int:
         except Exception as exc:  # pragma: no cover - defensive
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        print_summary(report, written)
         summaries[seed] = report.summary_dict()
+        print_summary(summaries[seed], written)
     if batch:
         target = out_root / "batch_summary.json"
         target.write_text(
             json.dumps(_merge_summaries(scenario, seeds, summaries),
-                       indent=2, sort_keys=True) + "\n"
+                       indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
         )
         print(f"  wrote {target}")
     return EXIT_OK
 
 
 def console_main() -> None:
+    # Ids may hold any character; a console that cannot show one prints
+    # an escape (as stderr already does) instead of failing the run.
+    sys.stdout.reconfigure(errors="backslashreplace")
     raise SystemExit(main())
 
 

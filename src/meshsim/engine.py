@@ -12,13 +12,16 @@ capture margin over the strongest of them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
+import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .geo import LatLonAlt, node_distance_m
 from .mesh import (
@@ -35,6 +38,7 @@ from .phy import (
     noise_floor_dbm,
     path_loss_db,
     sensitivity_dbm,
+    serial_sum,
     time_on_air_s,
 )
 from .scenarios import (
@@ -153,6 +157,38 @@ class ReceptionRecord:
         }
 
 
+# ReceptionRecord.to_dict as json.dumps(indent=2, sort_keys=True) prints it
+# inside the "receptions" list. A float field may hold an int (an altitude
+# given as 100): repr(round(v, k)) prints both as json does. Strings are
+# escaped as json's default ensure_ascii does.
+def _row_json(r: ReceptionRecord, quote: Callable[[str], str], position: str) -> str:
+    return (
+        "    {\n"
+        f'      "distance_m": {round(r.distance_m, 6)!r},\n'
+        f'      "hop_limit": {r.hop_limit!r},\n'
+        f'      "origin": {quote(r.origin)},\n'
+        f'      "outcome": {quote(r.outcome.value)},\n'
+        f'      "packet_id": {r.packet_id!r},\n'
+        f'      "port": {quote(r.port)},\n'
+        f'      "receiver": {quote(r.receiver)},\n'
+        f'      "rssi_dbm": {round(r.rssi_dbm, 6)!r},\n'
+        f'      "snr_db": {round(r.snr_db, 6)!r},\n'
+        f'      "time_s": {round(r.time_s, 6)!r},\n'
+        f'      "transmitter": {quote(r.transmitter)},\n'
+        f"{position}"
+    )
+
+
+def _position_json(p: LatLonAlt) -> str:
+    """The last three lines of a row, which depend on tx_position alone."""
+    return (
+        f'      "tx_altitude_m": {round(p.altitude_m, 3)!r},\n'
+        f'      "tx_latitude": {round(p.latitude, 7)!r},\n'
+        f'      "tx_longitude": {round(p.longitude, 7)!r}\n'
+        "    }"
+    )
+
+
 @dataclass(frozen=True)
 class GatewayDelivery:
     """A packet that reached a gateway's application layer."""
@@ -197,8 +233,8 @@ class SimReport:
         return {
             key: {
                 "frames": len(vals),
-                "mean_rssi_dbm": round(sum(v[0] for v in vals) / len(vals), 6),
-                "mean_snr_db": round(sum(v[1] for v in vals) / len(vals), 6),
+                "mean_rssi_dbm": round(serial_sum(v[0] for v in vals) / len(vals), 6),
+                "mean_snr_db": round(serial_sum(v[1] for v in vals) / len(vals), 6),
             }
             for key, vals in sorted(acc.items())
         }
@@ -244,6 +280,32 @@ class SimReport:
         out = self.summary_dict()
         out["receptions"] = [r.to_dict() for r in self.receptions]
         return out
+
+    def write_json(self, handle: TextIO, summary: dict[str, Any]) -> None:
+        """Write json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\\n".
+
+        summary is self.summary_dict(); it still goes through json.dumps.
+        The rows are streamed from a template instead, so no row dict and
+        no whole document is ever built.
+        """
+        # Only a top-level key sits on a line indented by two spaces.
+        head, _, tail = json.dumps(
+            {**summary, "receptions": None}, indent=2, sort_keys=True
+        ).partition('\n  "receptions": null')
+        handle.write(head + '\n  "receptions": [')
+        quote = functools.cache(encode_basestring_ascii)  # few distinct strings
+        # By identity: equal positions such as 0.0 and -0.0, or 100 and
+        # 100.0, print differently. The records keep every key alive.
+        positions: dict[int, str] = {}
+        sep = "\n"
+        for r in self.receptions:
+            p = r.tx_position
+            position = positions.get(id(p))
+            if position is None:
+                position = positions[id(p)] = _position_json(p)
+            handle.write(sep + _row_json(r, quote, position))
+            sep = ",\n"
+        handle.write(("\n  ]" if self.receptions else "]") + tail + "\n")
 
 
 def env_for_distance(bands: Sequence[EnvBand], distance_m: float) -> EnvironmentClass:

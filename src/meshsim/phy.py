@@ -224,6 +224,19 @@ class ExponentFit(NamedTuple):
     rms_residual_db: float
 
 
+def serial_sum(values: Iterable[float]) -> float:
+    """Add floats one at a time from 0.0, left to right.
+
+    This is what sum() does up to Python 3.11. Python 3.12 made sum()
+    compensate rounding, which moves the last bit of some results, so
+    every sum that reaches an output goes through here instead.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class InsufficientDataError(ValueError):
     """Raised when a fit has no measurement that constrains the exponent."""
 
@@ -252,14 +265,14 @@ def calibrate_exponent(
             raise ValueError(f"measurement distance {distance_m} m below 1 m reference")
         xs.append(10.0 * math.log10(distance_m))
         ys.append(budget - reference_loss_db - rssi_dbm)
-    sum_xx = sum(x * x for x in xs)
+    sum_xx = serial_sum(x * x for x in xs)
     if sum_xx == 0.0:
         raise InsufficientDataError(
             "need at least one measurement beyond the 1 m reference distance"
         )
-    n = sum(x * y for x, y in zip(xs, ys)) / sum_xx
+    n = serial_sum(x * y for x, y in zip(xs, ys)) / sum_xx
     clamped = n < MIN_PATH_LOSS_EXPONENT
     if clamped:
         n = MIN_PATH_LOSS_EXPONENT
-    rms = math.sqrt(sum((y - n * x) ** 2 for x, y in zip(xs, ys)) / len(xs))
+    rms = math.sqrt(serial_sum((y - n * x) ** 2 for x, y in zip(xs, ys)) / len(xs))
     return ExponentFit(exponent=n, clamped=clamped, rms_residual_db=rms)

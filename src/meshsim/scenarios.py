@@ -38,6 +38,9 @@ GATEWAY_OUTPUTS = frozenset({"map_csv", "map_kml", "uplinks", "series"})
 DEFAULT_EPOCH_S = 1_700_000_000
 DEFAULT_CAPTURE_THRESHOLD_DB = 6.0
 NS_PER_S = 1_000_000_000  # the simulation clock ticks in nanoseconds
+# Most app emissions one scenario may ask for, summed over every app. It
+# bounds a run's work: the built-ins ask for at most a few thousand.
+MAX_EMISSIONS = 10_000_000
 
 REFERENCE_LOSS_915_DB = reference_loss_1m_db(915e6)
 
@@ -211,6 +214,11 @@ class Scenario:
         elif not self.duration_s * NS_PER_S <= sys.float_info.max:
             # Unlike math.isfinite, this comparison also holds for huge ints.
             v.append(f"duration_s: {self.duration_s} overflows the nanosecond clock")
+        elif self._emissions() > MAX_EMISSIONS:
+            v.append(
+                f"duration_s: {self.duration_s} s asks for more than"
+                f" {MAX_EMISSIONS} app emissions in total"
+            )
         if self.seed < 0:
             v.append(f"seed: {self.seed} must be a non-negative integer")
         if self.epoch_s < 0:
@@ -276,6 +284,13 @@ class Scenario:
         if self.capture_threshold_db < 0:
             v.append(f"capture_threshold_db: {self.capture_threshold_db} must be >= 0")
         return v
+
+    def _emissions(self) -> float:
+        """App emissions over the run, summed over every app."""
+        try:
+            return sum(app.emission_count(self.duration_s) for n in self.nodes for app in n.apps)
+        except OverflowError:  # a period so short that the count is not even a float
+            return math.inf
 
     def replace(self, **changes: Any) -> "Scenario":
         return replace(self, **changes)

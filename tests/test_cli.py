@@ -1,16 +1,34 @@
 """Command-line behavior: exit codes, outputs, determinism, calibration."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meshsim
 from meshsim.cli import main
-from meshsim.scenarios import campus_scenario, k4_scenario
+from meshsim.scenarios import MAX_EMISSIONS, campus_scenario, k4_scenario
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_process(*argv, timeout, **env):
+    """The CLI as a program of its own, with env added to this process's environment."""
+    src = str(Path(meshsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "meshsim.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        timeout=timeout,
+    )
 
 
 def test_default_run_writes_summary(tmp_path, capsys):
@@ -214,6 +232,37 @@ def test_duration_beyond_the_clock_is_usage_error(tmp_path, capsys, value):
         f"error: duration_s: {value} overflows the nanosecond clock\n"
     )
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_too_many_emissions_is_usage_error(tmp_path):
+    # Within the clock, but 1e283 emissions: rejected up front, not run until killed.
+    obj = k4_scenario().to_dict()
+    obj["duration_s"] = 1e290
+    path = tmp_path / "endless.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli_process("--scenario", str(path), "--out-dir", str(tmp_path), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (
+        f"error: duration_s: 1e+290 s asks for more than {MAX_EMISSIONS} app emissions in total\n"
+    )
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    obj = k4_scenario().to_dict()
+    for node in obj["nodes"]:
+        node["id"] += "\u00f1"
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    proc = run_cli_process(
+        "--scenario", str(path), "--out-dir", str(out), "--emit", "summary,map_csv,report",
+        timeout=60, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="",
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    with open(out / "map.csv", newline="", encoding="utf-8") as handle:
+        nodes = {row["node"] for row in csv.DictReader(handle)}
+    assert "node0\u00f1" in nodes
 
 
 def test_lone_surrogate_text_is_usage_error(tmp_path, capsys):

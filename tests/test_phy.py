@@ -1,6 +1,8 @@
 """Physical-layer math against independent oracles and pinned values."""
 
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from meshsim.phy import (
     reference_loss_1m_db,
     round_half_away_from_zero,
     sensitivity_dbm,
+    serial_sum,
     snr_floor_db,
     snr_raw_decode,
     snr_raw_encode,
@@ -301,3 +304,13 @@ def test_environment_class_bounds():
             reference_loss_db=31.7,
             shadowing_sigma_db=-1.0,
         )
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+def test_serial_sum_adds_left_to_right(values):
+    assert serial_sum(values) == functools.reduce(operator.add, values, 0.0)
+
+
+def test_serial_sum_does_not_compensate():
+    # Compensated summation (sum() from Python 3.12) would give 1.0.
+    assert serial_sum([1e16, 1.0, -1e16]) == 0.0

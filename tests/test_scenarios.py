@@ -22,6 +22,7 @@ from meshsim.phy import EnvironmentClass, RadioConfig, Terrain
 from meshsim.scenarios import (
     BUILTIN_SCENARIOS,
     GATEWAY_OUTPUTS,
+    MAX_EMISSIONS,
     NLOS_EXPONENT,
     OUTPUT_KINDS,
     QUASI_LOS_EXPONENT,
@@ -230,6 +231,24 @@ def test_validate_oversized_text_app():
         + sc.nodes[1:]
     )
     assert any("text exceeds" in v for v in bad.validate())
+
+
+def _one_app_k4(period_s: float, duration_s: float) -> Scenario:
+    sc = k4_scenario()
+    app = AppSchedule(Port.TEXT_MESSAGE_APP, PayloadSource.TEXT_FIXED, period_s=period_s)
+    node0 = replace(sc.nodes[0], apps=(app,))
+    return sc.replace(nodes=(node0, *sc.nodes[1:]), duration_s=duration_s)
+
+
+def test_validate_caps_total_emissions():
+    # One app every second from t = 0 emits at 0, 1, ..., D: D + 1 times.
+    assert _one_app_k4(1.0, MAX_EMISSIONS - 1.0).validate() == []
+    assert _one_app_k4(1.0, float(MAX_EMISSIONS)).validate() == [
+        f"duration_s: {float(MAX_EMISSIONS)} s asks for more than"
+        f" {MAX_EMISSIONS} app emissions in total"
+    ]
+    # A period so short that the count overflows a float is rejected, not raised.
+    assert len(_one_app_k4(5e-324, 1e5).validate()) == 1
 
 
 def test_radio_rejects_negative_noise_figure():
@@ -468,7 +487,8 @@ _app = st.builds(
     AppSchedule,
     port=st.sampled_from(list(Port)),
     payload_source=st.sampled_from(list(PayloadSource)),
-    period_s=_positive(1e7),
+    # With periods of 1 s or more, 8 apps over at most 1e6 s stay under MAX_EMISSIONS.
+    period_s=st.floats(min_value=1.0, max_value=1e7),
     start_offset_s=_nonneg(),
     text=st.text(max_size=20),
 )
