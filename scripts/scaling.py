@@ -6,8 +6,9 @@ Builds the benchmark's synthetic grids (bench/workloads.grid_scenario,
 seed 1, 300 simulated s) at 4x4, 6x6 and 8x8 nodes, runs each through
 engine.run from this checkout's src/, and prints one JSON line per grid:
 the median wall time of three untraced runs and the tracemalloc peak of
-one more run, with the transmission and reception counts that set the
-work.
+one more run, with the transmission and candidate counts that set the
+work and the number of reception records the run kept (0 unless the
+scenario asks for report.json).
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def measure(side: int) -> dict:
         "run_s_all": times,
         "tracemalloc_peak_mb": peak / 2**20,
         "transmissions": report.transmissions,
-        "receptions": len(report.receptions),
+        "candidates": sum(report.outcome_counts().values()),
+        "records_kept": len(report.receptions),
     }
 
 

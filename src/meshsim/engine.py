@@ -7,7 +7,9 @@ transmission produces one reception candidate per other node. Each frame
 collects every frame it overlapped in time, however long, and when it
 ends each candidate is judged against that set: a receiver that sent one
 of them was busy, and otherwise the frame survives only with a clear
-capture margin over the strongest of them.
+capture margin over the strongest of them. The summary's figures are
+folded into the report as each candidate is judged, so a run keeps its
+reception records only when the scenario asks for report.json.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .geo import LatLonAlt, node_distance_m
 from .mesh import (
     ActionKind,
     MeshPacket,
+    NodeRole,
     RouterState,
     RxMetadata,
     default_slot_time_s,
@@ -38,7 +41,6 @@ from .phy import (
     noise_floor_dbm,
     path_loss_db,
     sensitivity_dbm,
-    serial_sum,
     time_on_air_s,
 )
 from .scenarios import (
@@ -57,6 +59,7 @@ __all__ = [
     "EventKind",
     "GatewayDelivery",
     "Link",
+    "LinkSums",
     "ReceptionOutcome",
     "ReceptionRecord",
     "SimReport",
@@ -80,6 +83,14 @@ class ReceptionOutcome(Enum):
     BELOW_SENSITIVITY = "BELOW_SENSITIVITY"
     COLLIDED = "COLLIDED"
     TX_BUSY = "TX_BUSY"
+
+
+# Reading a member off an Enum class runs Python code (over 100 ns on
+# 3.11); the per-candidate paths use these names instead.
+_DECODED = ReceptionOutcome.DECODED
+_BELOW_SENSITIVITY = ReceptionOutcome.BELOW_SENSITIVITY
+_COLLIDED = ReceptionOutcome.COLLIDED
+_TX_BUSY = ReceptionOutcome.TX_BUSY
 
 
 class EventKind(Enum):
@@ -199,13 +210,42 @@ class GatewayDelivery:
     rx: RxMetadata
 
 
+@dataclass(slots=True)
+class LinkSums:
+    """Decoded frames on one directed link, their RSSI and SNR added in judge order.
+
+    The sums start at 0.0 and add left to right, as phy.serial_sum does.
+    """
+
+    frames: int = 0
+    rssi_dbm: float = 0.0
+    snr_db: float = 0.0
+
+
 @dataclass
 class SimReport:
+    """What a run produced.
+
+    The engine folds the summary's figures in as it judges each
+    candidate: the outcome counts, link_sums and the hop histogram.
+    gateway_receptions holds the candidates a GATEWAY decoded, in judge
+    order, for the maps. receptions holds every candidate only when
+    "report" is among the scenario's outputs, since only report.json
+    reads it; otherwise it stays empty and memory does not grow with
+    frames x nodes.
+    """
+
     scenario_name: str
     seed: int
     duration_s: float
     receptions: list[ReceptionRecord] = field(default_factory=list)
+    gateway_receptions: list[ReceptionRecord] = field(default_factory=list)
     transmissions: int = 0
+    decoded: int = 0
+    collided: int = 0
+    below_sensitivity: int = 0
+    tx_busy: int = 0
+    link_sums: dict[str, LinkSums] = field(default_factory=dict)
     duplicates_suppressed: int = 0
     originated: Counter = field(default_factory=Counter)
     delivered_to_gateway: Counter = field(default_factory=Counter)
@@ -215,28 +255,23 @@ class SimReport:
     gateway_deliveries: list[GatewayDelivery] = field(default_factory=list)
     trace: list[str] | None = None
 
-    @property
-    def collisions(self) -> int:
-        return self.outcome_counts().get(ReceptionOutcome.COLLIDED, 0)
-
     def outcome_counts(self) -> Counter:
-        return Counter(r.outcome for r in self.receptions)
+        return Counter({
+            ReceptionOutcome.DECODED: self.decoded,
+            ReceptionOutcome.BELOW_SENSITIVITY: self.below_sensitivity,
+            ReceptionOutcome.COLLIDED: self.collided,
+            ReceptionOutcome.TX_BUSY: self.tx_busy,
+        })
 
     def link_stats(self) -> dict[str, dict[str, float]]:
         """Mean decoded RSSI/SNR per directed transmitter->receiver pair."""
-        acc: dict[str, list[tuple[float, float]]] = {}
-        for r in self.receptions:
-            if r.outcome is ReceptionOutcome.DECODED:
-                acc.setdefault(f"{r.transmitter}->{r.receiver}", []).append(
-                    (r.rssi_dbm, r.snr_db)
-                )
         return {
             key: {
-                "frames": len(vals),
-                "mean_rssi_dbm": round(serial_sum(v[0] for v in vals) / len(vals), 6),
-                "mean_snr_db": round(serial_sum(v[1] for v in vals) / len(vals), 6),
+                "frames": s.frames,
+                "mean_rssi_dbm": round(s.rssi_dbm / s.frames, 6),
+                "mean_snr_db": round(s.snr_db / s.frames, 6),
             }
-            for key, vals in sorted(acc.items())
+            for key, s in sorted(self.link_sums.items())
         }
 
     def pdr(self) -> dict[str, float]:
@@ -247,19 +282,18 @@ class SimReport:
         }
 
     def summary_dict(self) -> dict[str, Any]:
-        counts = self.outcome_counts()
         return {
             "scenario": self.scenario_name,
             "seed": self.seed,
             "duration_s": self.duration_s,
             "counts": {
                 "transmissions": self.transmissions,
-                "decoded": counts.get(ReceptionOutcome.DECODED, 0),
-                "collided": counts.get(ReceptionOutcome.COLLIDED, 0),
-                "below_sensitivity": counts.get(ReceptionOutcome.BELOW_SENSITIVITY, 0),
+                "decoded": self.decoded,
+                "collided": self.collided,
+                "below_sensitivity": self.below_sensitivity,
                 # Always 0: sensitivity is already the noise floor plus the SNR floor.
                 "below_snr_floor": 0,
-                "tx_busy": counts.get(ReceptionOutcome.TX_BUSY, 0),
+                "tx_busy": self.tx_busy,
                 "duplicates_suppressed": self.duplicates_suppressed,
             },
             "originated": dict(sorted(self.originated.items())),
@@ -332,15 +366,12 @@ def judge(
     frame is a collision loss.
     """
     if busy:
-        return ReceptionOutcome.TX_BUSY
+        return _TX_BUSY
     if not rival_rssi_dbm:
         return clean
-    if (
-        clean is ReceptionOutcome.DECODED
-        and rssi_dbm >= max(rival_rssi_dbm) + capture_threshold_db
-    ):
-        return ReceptionOutcome.DECODED
-    return ReceptionOutcome.COLLIDED
+    if clean is _DECODED and rssi_dbm >= max(rival_rssi_dbm) + capture_threshold_db:
+        return _DECODED
+    return _COLLIDED
 
 
 class Link(NamedTuple):
@@ -372,7 +403,7 @@ def propagate(
     radio's noise floor. Half-duplex losses and collisions are judged
     later, once all overlapping frames are known.
     """
-    decoded, weak = ReceptionOutcome.DECODED, ReceptionOutcome.BELOW_SENSITIVITY
+    decoded, weak = _DECODED, _BELOW_SENSITIVITY
     port = packet.port.value
     records: list[ReceptionRecord] = []
     for receiver, (distance, mean_loss, shadow, sigma, budget, noise, sensitivity) in links.items():
@@ -437,6 +468,11 @@ class _Simulation:
         self.seq = 0
         self.on_air: list[_AirFrame] = []
         self.flood_initial_hop: dict[tuple[str, int], int] = {}
+        # Only report.json reads every record; the rest is folded at TX_END.
+        self.keep_records = "report" in scenario.outputs
+        self.gateways = {
+            spec.id for spec in scenario.nodes if spec.role is NodeRole.GATEWAY
+        }
         self.report = SimReport(
             scenario_name=scenario.name,
             seed=scenario.seed,
@@ -619,26 +655,52 @@ class _Simulation:
     def on_tx_end(self, event: Event) -> None:
         frame: _AirFrame = event.data
         self.on_air.remove(frame)
+        report = self.report
+        # Tallied by identity and added to the report once per frame:
+        # Enum.__hash__ runs in Python, so counting by outcome as a key
+        # would cost more per candidate than judging it.
+        n_decoded = n_collided = n_tx_busy = 0
+        rivals = frame.rivals
+        capture_db = self.scenario.capture_threshold_db
         # A node that sent a rival was transmitting during this frame: every
         # started transmission is a frame, and a busy radio defers its start.
-        senders = {g.transmitter for g in frame.rivals}
+        senders = {g.transmitter for g in rivals}
         for cand in frame.candidates:
             rx = cand.receiver
             busy = rx in senders
             # judge rules a busy receiver out before it reads the rivals;
             # a receiver that is not busy sent none of them.
-            cand.outcome = judge(
+            outcome = cand.outcome = judge(
                 cand.outcome,
                 cand.rssi_dbm,
-                () if busy else [g.rssi_at[rx] for g in frame.rivals],
+                () if busy else [g.rssi_at[rx] for g in rivals],
                 busy,
-                self.scenario.capture_threshold_db,
+                capture_db,
             )
-            self.report.receptions.append(cand)
-            if cand.outcome is ReceptionOutcome.DECODED:
+            if outcome is _DECODED:
+                n_decoded += 1
+                key = f"{frame.transmitter}->{rx}"
+                sums = report.link_sums.get(key)
+                if sums is None:
+                    sums = report.link_sums[key] = LinkSums()
+                sums.frames += 1
+                sums.rssi_dbm += cand.rssi_dbm
+                sums.snr_db += cand.snr_db
+                if rx in self.gateways:
+                    report.gateway_receptions.append(cand)
                 self.deliver(cand, frame.packet, event.time_ns)
+            elif outcome is _TX_BUSY:
+                n_tx_busy += 1
+            elif outcome is _COLLIDED:
+                n_collided += 1
+        report.decoded += n_decoded
+        report.collided += n_collided
+        report.tx_busy += n_tx_busy
+        report.below_sensitivity += len(frame.candidates) - n_decoded - n_collided - n_tx_busy
+        if self.keep_records:
+            report.receptions.extend(frame.candidates)
         # Frames that overlapped point at each other; break the cycle.
-        frame.rivals.clear()
+        rivals.clear()
 
     def deliver(self, cand: ReceptionRecord, packet: MeshPacket, now_ns: int) -> None:
         rx = self.nodes[cand.receiver]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .engine import GatewayDelivery, ReceptionOutcome, SimReport
+from .engine import GatewayDelivery, SimReport
 from .geo import geo_to_local
 from .mesh import NodeRole, Port
 from .scenarios import NS_PER_S, Scenario
@@ -236,12 +236,8 @@ def _gateway_rows(report: SimReport, scenario: Scenario) -> list[dict[str, Any]]
         if spec.role is NodeRole.GATEWAY
     }
     rows = []
-    for rec in report.receptions:
-        if rec.outcome is not ReceptionOutcome.DECODED:
-            continue
-        origin = gateways.get(rec.receiver)
-        if origin is None:
-            continue
+    for rec in report.gateway_receptions:
+        origin = gateways[rec.receiver]
         x_m, y_m = geo_to_local(rec.tx_position, origin)
         rows.append(
             {

@@ -127,8 +127,8 @@ def symbol_time_s(cfg: RadioConfig) -> float:
 
 
 def low_data_rate_optimize(cfg: RadioConfig) -> bool:
-    # Mandatory for long symbols; fixed rule: SF >= 11 at 125 kHz.
-    return cfg.spreading_factor >= 11 and cfg.bandwidth_hz == 125_000.0
+    """LDRO is mandatory once a symbol lasts 16 ms or more (Semtech rule)."""
+    return symbol_time_s(cfg) >= 0.016
 
 
 def payload_symbols(payload_len: int, cfg: RadioConfig) -> int:

@@ -22,7 +22,6 @@ from meshsim.mesh import ContentionParams, NodeRole, backoff_delay_s
 from meshsim.phy import (
     RadioConfig,
     calibrate_exponent,
-    low_data_rate_optimize,
     reference_loss_1m_db,
     snr_raw_decode,
     snr_raw_encode,
@@ -44,21 +43,20 @@ def _verdict(criterion: str, ok: bool, detail: str) -> None:
 
 
 # Reference airtime, built from scratch (group counting instead of a
-# closed-form ceil); see test_phy for the derivation.
+# closed-form ceil, LDRO from Semtech's 16 ms symbol rule); see test_phy
+# for the derivation.
 def _oracle_toa(payload_len: int, cfg: RadioConfig) -> float:
+    symbol_s = 2**cfg.spreading_factor / cfg.bandwidth_hz
+    ldro = symbol_s >= 0.016
     numerator = 8 * payload_len - 4 * cfg.spreading_factor + 28
     numerator += 16 if cfg.crc_enabled else 0
     numerator -= 0 if cfg.explicit_header else 20
-    denominator = 4 * (
-        cfg.spreading_factor - (2 if low_data_rate_optimize(cfg) else 0)
-    )
+    denominator = 4 * (cfg.spreading_factor - (2 if ldro else 0))
     groups = 0
     while groups * denominator < numerator:
         groups += 1
     n = 8 + max(groups * (cfg.coding_rate + 4), 0)
-    return (cfg.preamble_symbols + 4.25 + n) * (
-        (1 << cfg.spreading_factor) / cfg.bandwidth_hz
-    )
+    return (cfg.preamble_symbols + 4.25 + n) * symbol_s
 
 
 def test_01_airtime_exact_over_grid():
@@ -141,7 +139,8 @@ def test_03_summit_link_reproduction():
     """Frames sent from the summit stop reach the gateway almost always,
     with the observed signal level."""
     started = time.perf_counter()
-    report = engine.run(cumbre_scenario())
+    sc = cumbre_scenario()
+    report = engine.run(sc.replace(outputs=sc.outputs | {"report"}))
     summit = [
         r
         for r in report.receptions
@@ -221,7 +220,7 @@ def test_06_hop_budget_boundary():
     """On a five-node chain with a three-hop budget, the fourth node
     delivers and the fifth never hears a decodable frame."""
     sc = line_scenario(count=5)
-    report = engine.run(sc)
+    report = engine.run(sc.replace(outputs=sc.outputs | {"report"}))
     ids = [n.id for n in sc.nodes]
     adjacency = {
         a: {b for b in ids if abs(ids.index(a) - ids.index(b)) == 1} for a in ids

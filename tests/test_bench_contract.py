@@ -3,7 +3,9 @@
 bench/child.py patches meshsim functions by module and name. A rename or
 removal in meshsim would make the traced run crash or silently lose a
 layer, so this runs the child as the benchmark does and checks that every
-layer it reports was called.
+layer it reports was called. campus keeps its reception records for
+report.json; cumbre has map, uplink and series outputs but no report, so
+it runs the path that keeps none.
 """
 
 import json
@@ -11,7 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from meshsim.scenarios import campus_scenario
+import pytest
+
+from meshsim.scenarios import BUILTIN_SCENARIOS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,9 +34,11 @@ LAYERS = (
 )
 
 
-def test_traced_child_reaches_every_layer(tmp_path):
+@pytest.mark.parametrize("name", ["campus", "cumbre"])
+def test_traced_child_reaches_every_layer(name, tmp_path):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(campus_scenario().replace(duration_s=900).to_dict()))
+    sc = BUILTIN_SCENARIOS[name]().replace(duration_s=900)
+    scenario.write_text(json.dumps(sc.to_dict()))
     spec = {
         "run": 0,
         "scenario": str(scenario),
@@ -50,3 +56,5 @@ def test_traced_child_reaches_every_layer(tmp_path):
     layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
     for layer in LAYERS:
         assert layers.get(layer, {}).get("calls", 0) >= 1, layer
+    # engine.run counts the records the run kept; only report.json needs them.
+    assert (layers["engine.run"]["count"] > 0) == ("report" in sc.outputs)

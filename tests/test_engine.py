@@ -137,6 +137,7 @@ def test_k4_flood_matches_oracle():
 
 def test_line5_flood_matches_oracle():
     sc = line_scenario(count=5)
+    sc = sc.replace(outputs=sc.outputs | {"report"})
     report = engine.run(sc)
     ids = [n.id for n in sc.nodes]
     adjacency = {
@@ -178,7 +179,8 @@ def test_simultaneous_transmitters_miss_each_other():
                 apps=(shot,),
             ),
         )
-        + sc.nodes[2:]
+        + sc.nodes[2:],
+        outputs=sc.outputs | {"report"},
     )
     report = engine.run(sc)
     assert outcome_of(report, "node0", "node1") == [ReceptionOutcome.TX_BUSY]
@@ -212,7 +214,9 @@ def test_frames_longer_than_a_minute_still_collide():
                 id=node.id, name=node.name, role=node.role, position=node.position, apps=apps
             )
         )
-    sc = sc.replace(radio=radio, duration_s=300.0, nodes=tuple(nodes))
+    sc = sc.replace(
+        radio=radio, duration_s=300.0, nodes=tuple(nodes), outputs=sc.outputs | {"report"}
+    )
 
     intervals = {
         nid: (start, start + time_on_air_s(len(text.encode()), radio))
@@ -244,6 +248,7 @@ def test_candidate_conservation(name):
     from meshsim.scenarios import BUILTIN_SCENARIOS
 
     sc = BUILTIN_SCENARIOS[name]()
+    sc = sc.replace(outputs=sc.outputs | {"report"})
     report = engine.run(sc)
     counts = report.outcome_counts()
     assert sum(counts.values()) == report.transmissions * (len(sc.nodes) - 1)
@@ -302,7 +307,10 @@ def test_gateway_delivery_carries_rx_metadata():
 
 def test_link_override_pins_distance():
     sc = line_scenario(count=2)
-    sc = sc.replace(links=(LinkOverride(a="node0", b="node1", distance_m=5e6),))
+    sc = sc.replace(
+        links=(LinkOverride(a="node0", b="node1", distance_m=5e6),),
+        outputs=sc.outputs | {"report"},
+    )
     report = engine.run(sc)
     (rec,) = [r for r in report.receptions if r.receiver == "node1"]
     assert rec.distance_m == 5e6
@@ -336,7 +344,9 @@ def test_receiver_decides_with_its_own_radio():
         LinkOverride(a="node0", b=rx, distance_m=distance, env=free_space, shadow_db=0.0)
         for rx in ("node1", "node2")
     )
-    report = engine.run(sc.replace(nodes=tuple(nodes), links=links))
+    report = engine.run(
+        sc.replace(nodes=tuple(nodes), links=links, outputs=sc.outputs | {"report"})
+    )
     first = min(r.time_s for r in report.receptions if r.transmitter == "node0")
     got = {
         r.receiver: r
@@ -354,6 +364,7 @@ def test_receiver_decides_with_its_own_radio():
 
 def test_fixed_shadow_override_is_deterministic():
     sc = line_scenario(count=2)
+    sc = sc.replace(outputs=sc.outputs | {"report"})
     base = engine.run(sc).receptions[0].rssi_dbm
     shifted = sc.replace(links=(LinkOverride(a="node0", b="node1", shadow_db=7.0),))
     rssi = engine.run(shifted).receptions[0].rssi_dbm
@@ -365,6 +376,7 @@ def test_receive_gain_comes_from_the_receiving_radio():
     # nothing node2 sends; k4 has no shadowing, so RSSI is the budget
     # minus free-space loss over the geometric distance.
     sc = k4_scenario()
+    sc = sc.replace(outputs=sc.outputs | {"report"})
     positions = {n.id: n.position for n in sc.nodes}
     nodes = list(sc.nodes)
     node2 = nodes[2]
@@ -418,6 +430,7 @@ def test_colocated_static_pair_warns_once_per_run(caplog):
         )
         + sc.nodes[2:],
         links=(LinkOverride(a="node0", b="node1", distance_m=10.0, directed=True),),
+        outputs=sc.outputs | {"report"},
     )
     with caplog.at_level("WARNING", logger="meshsim.phy"):
         report = engine.run(sc)
@@ -477,6 +490,7 @@ def test_same_seed_same_history():
 
 def test_different_seed_different_history():
     sc = cumbre_scenario()
+    sc = sc.replace(outputs=sc.outputs | {"report"})
     a = engine.run(sc)
     b = engine.run(sc.replace(seed=sc.seed + 1))
     rssi_a = [r.rssi_dbm for r in a.receptions[:50]]
@@ -492,7 +506,8 @@ def test_hop_histogram_campus_is_single_hop():
 
 
 def test_report_serialization_is_sorted_and_rounded():
-    report = engine.run(k4_scenario())
+    sc = k4_scenario()
+    report = engine.run(sc.replace(outputs=sc.outputs | {"report"}))
     summary = report.summary_dict()
     assert list(summary["originated"]) == sorted(summary["originated"])
     as_dict = report.to_dict()

@@ -143,7 +143,8 @@ def _crowded_grid() -> Scenario:
 
 
 def test_crowded_grid_report_matches_golden():
-    report = engine.run(_crowded_grid())
+    sc = _crowded_grid()
+    report = engine.run(sc.replace(outputs=sc.outputs | {"report"}))
     counts = report.outcome_counts()
     # The grid is here for the busy and collision paths; keep it crowded.
     assert counts[engine.ReceptionOutcome.TX_BUSY] > 1000
@@ -218,6 +219,7 @@ def _link_table_grid() -> Scenario:
 
 
 def test_link_table_grid_report_matches_golden():
-    report = engine.run(_link_table_grid())
+    sc = _link_table_grid()
+    report = engine.run(sc.replace(outputs=sc.outputs | {"report"}))
     digest = _sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
     assert digest == LINK_TABLE_GRID_REPORT

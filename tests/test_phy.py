@@ -54,15 +54,16 @@ def oracle_payload_symbols(payload_len, sf, cr, crc, explicit_header, ldro):
 
 
 def oracle_time_on_air_s(payload_len, cfg):
+    symbol_s = (1 << cfg.spreading_factor) / cfg.bandwidth_hz
     n = oracle_payload_symbols(
         payload_len,
         cfg.spreading_factor,
         cfg.coding_rate,
         cfg.crc_enabled,
         cfg.explicit_header,
-        low_data_rate_optimize(cfg),
+        symbol_s >= 0.016,  # Semtech: LDRO from a 16 ms symbol
     )
-    return (cfg.preamble_symbols + 4.25 + n) * ((1 << cfg.spreading_factor) / cfg.bandwidth_hz)
+    return (cfg.preamble_symbols + 4.25 + n) * symbol_s
 
 
 def test_airtime_pinned_default_frame():
@@ -102,9 +103,13 @@ def test_payload_length_bounds():
 
 
 def test_low_data_rate_optimize_rule():
+    # On from a 16 ms symbol: 2^SF / BW is 16.384 ms in all three "on" cases.
     assert low_data_rate_optimize(RadioConfig(spreading_factor=11))
     assert low_data_rate_optimize(RadioConfig(spreading_factor=12))
+    assert low_data_rate_optimize(RadioConfig(spreading_factor=12, bandwidth_hz=250000))
+    assert low_data_rate_optimize(RadioConfig(spreading_factor=10, bandwidth_hz=62500))
     assert not low_data_rate_optimize(RadioConfig(spreading_factor=10))
+    # 8.192 ms.
     assert not low_data_rate_optimize(
         RadioConfig(spreading_factor=11, bandwidth_hz=250000)
     )
