@@ -7,9 +7,13 @@ transmission produces one reception candidate per other node. Each frame
 collects every frame it overlapped in time, however long, and when it
 ends each candidate is judged against that set: a receiver that sent one
 of them was busy, and otherwise the frame survives only with a clear
-capture margin over the strongest of them. The summary's figures are
-folded into the report as each candidate is judged, so a run keeps its
-reception records only when the scenario asks for report.json.
+capture margin over the strongest of them. Log-normal shadowing is
+drawn in exact pairs, with random.gauss's own formula, so a frame takes
+just the normals it needs and the stream matches gauss bit for bit. A
+frame carries only its RSSI per receiver; a ReceptionRecord is built
+for a candidate that decodes, or for every candidate when the scenario
+asks for report.json. The summary's figures are folded into the report
+as each candidate is judged.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
+from math import cos, log, pi, sin, sqrt
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .geo import LatLonAlt, node_distance_m
@@ -100,9 +105,21 @@ class EventKind(Enum):
     REBROADCAST_FIRE = "REBROADCAST_FIRE"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One scheduled action; data carries the kind-specific payload."""
+_APP_EMIT = EventKind.APP_EMIT
+_TX_START = EventKind.TX_START
+_TX_END = EventKind.TX_END
+_REBROADCAST_FIRE = EventKind.REBROADCAST_FIRE
+_DELIVER_TO_APP = ActionKind.DELIVER_TO_APP
+_EMIT_UPLINK = ActionKind.EMIT_UPLINK
+_SCHEDULE_REBROADCAST = ActionKind.SCHEDULE_REBROADCAST
+_DROP_DUPLICATE = ActionKind.DROP_DUPLICATE
+
+
+class Event(NamedTuple):
+    """One scheduled action; data carries the kind-specific payload.
+
+    The heap orders events by (time_ns, seq), so two are never compared.
+    """
 
     time_ns: int
     seq: int
@@ -386,63 +403,105 @@ class Link(NamedTuple):
     sensitivity_dbm: float
 
 
-def propagate(
-    transmitter: str,
-    packet: MeshPacket,
-    end_time_s: float,
-    tx_position: LatLonAlt,
-    links: Mapping[str, Link],
-    rng: random.Random,
-) -> list[ReceptionRecord]:
-    """Compute the reception candidate at every receiver of one frame.
+_TWOPI = 2.0 * pi
 
-    links maps each receiver, in node order, to its channel from the
-    sender; each shadowing draw comes from rng in that order. The
-    receiving radio decides alone: the frame decodes when its RSSI
-    reaches that radio's sensitivity, and SNR is taken against that
-    radio's noise floor. Half-duplex losses and collisions are judged
-    later, once all overlapping frames are known.
+
+class _Normals:
+    """N(0, 1) values exactly as rng.gauss(0.0, 1.0) would return them.
+
+    random.gauss (3.10 to 3.13) makes a pair from two random() calls and
+    keeps the second value for the next call. This does the same with
+    the same math calls, a whole frame at a time, and keeps the odd
+    value of the last pair for the next frame. It reads rng only through
+    random(), so rng's generator state advances as under gauss.
     """
-    decoded, weak = _DECODED, _BELOW_SENSITIVITY
-    port = packet.port.value
-    records: list[ReceptionRecord] = []
-    for receiver, (distance, mean_loss, shadow, sigma, budget, noise, sensitivity) in links.items():
-        if shadow is None:
-            shadow = rng.gauss(0.0, sigma)
-        # Same terms in the same order as path_loss_db and link_budget_dbm.
-        rssi = budget - (mean_loss + shadow)
-        outcome = decoded if rssi >= sensitivity else weak
-        records.append(
-            ReceptionRecord(
-                end_time_s, transmitter, receiver, packet.origin, packet.packet_id, port,
-                packet.hop_limit, rssi, rssi - noise, distance, outcome, tx_position,
-            )
-        )
-    return records
+
+    __slots__ = ("random", "spare")
+
+    def __init__(self, rng: random.Random):
+        self.random = rng.random
+        self.spare: float | None = None
+
+    def take(self, n: int) -> list[float]:
+        out: list[float] = []
+        if n and self.spare is not None:
+            out.append(self.spare)
+            self.spare = None
+            n -= 1
+        random = self.random
+        for _ in range((n + 1) >> 1):
+            x2pi = random() * _TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - random()))
+            out += (cos(x2pi) * g2rad, sin(x2pi) * g2rad)
+        if n & 1:
+            self.spare = out.pop()
+        return out
+
+
+def propagate(links: Sequence[Link], drawn: int, normals: _Normals) -> list[float]:
+    """RSSI at every receiver of one frame, in the order of links.
+
+    drawn is the number of links whose shadow_db is None; each of them
+    takes the next normal, in that order. Decoding, half-duplex losses
+    and collisions are judged at the frame's end, against the receiving
+    radio and every frame it overlapped.
+    """
+    if not drawn:
+        return [budget - (mean_loss + shadow) for _, mean_loss, shadow, _, budget, _, _ in links]
+    z = iter(normals.take(drawn)).__next__
+    # Same terms in the same order as path_loss_db and link_budget_dbm, with
+    # a draw scaled as gauss's mu + z * sigma.
+    return [
+        budget - (mean_loss + (0.0 + z() * sigma if shadow is None else shadow))
+        for _, mean_loss, shadow, sigma, budget, _, _ in links
+    ]
+
+
+class _Row(NamedTuple):
+    """One sender's links, receivers in node order.
+
+    A link is None when an end moves; it is rebuilt at every frame.
+    drawn counts the links whose shadow is drawn per frame.
+    """
+
+    receivers: tuple[str, ...]
+    links: tuple[Link | None, ...]
+    drawn: int
+
+
+def _drawn(links: Iterable[Link | None]) -> int:
+    return sum(1 for link in links if link is not None and link.shadow_db is None)
 
 
 class _AirFrame:
-    """A frame in flight, its per-receiver candidates and the frames it overlapped."""
+    """A frame in flight, its RSSI at each receiver and the frames it overlapped."""
 
-    __slots__ = ("transmitter", "packet", "end_ns", "candidates", "rssi_at", "rivals")
+    __slots__ = (
+        "transmitter", "packet", "end_ns", "end_s", "tx_position", "links", "rssi_at", "rivals",
+    )
 
     def __init__(
         self,
         transmitter: str,
         packet: MeshPacket,
         end_ns: int,
-        candidates: list[ReceptionRecord],
+        end_s: float,
+        tx_position: LatLonAlt,
+        links: Sequence[Link],
+        rssi_at: dict[str, float],
     ):
         self.transmitter = transmitter
         self.packet = packet
         self.end_ns = end_ns
-        self.candidates = candidates
-        self.rssi_at = {c.receiver: c.rssi_dbm for c in candidates}
+        self.end_s = end_s
+        self.tx_position = tx_position
+        self.links = links  # in the order of rssi_at's receivers
+        self.rssi_at = rssi_at
         self.rivals: list[_AirFrame] = []
 
 
 class _NodeRuntime:
-    __slots__ = ("spec", "radio", "state", "route", "busy_until_ns", "airtime_ns")
+    __slots__ = ("spec", "radio", "state", "route", "busy_until_ns", "airtime_ns", "toa_s")
 
     def __init__(self, spec: NodeSpec, radio: RadioConfig, state: RouterState, route: Route | None):
         self.spec = spec
@@ -451,6 +510,7 @@ class _NodeRuntime:
         self.route = route
         self.busy_until_ns = 0
         self.airtime_ns = 0  # time on air inside [0, duration]
+        self.toa_s: dict[int, float] = {}  # time on air by payload length
 
     def position_at(self, time_s: float) -> LatLonAlt:
         if self.route is not None:
@@ -463,11 +523,10 @@ class _Simulation:
         self.scenario = scenario
         self.duration_ns = round(scenario.duration_s * NS_PER_S)
         self.links = link_overrides(scenario.links)
-        self.shadow_rng = random.Random(derive_seed(scenario.seed, "shadow"))
+        self.normals = _Normals(random.Random(derive_seed(scenario.seed, "shadow")))
         self.heap: list[tuple[int, int, Event]] = []
         self.seq = 0
         self.on_air: list[_AirFrame] = []
-        self.flood_initial_hop: dict[tuple[str, int], int] = {}
         # Only report.json reads every record; the rest is folded at TX_END.
         self.keep_records = "report" in scenario.outputs
         self.gateways = {
@@ -498,11 +557,13 @@ class _Simulation:
         moving = {nid for nid, rt in self.nodes.items() if rt.route is not None}
         self.moving = bool(moving)
         fixed = {nid: rt.spec.position for nid, rt in self.nodes.items()}
-        self.table = {
-            tx: {rx: None if moving & {tx, rx} else self.link(tx, rx, fixed)
-                 for rx in self.nodes if rx != tx}
-            for tx in self.nodes
-        }
+        self.table: dict[str, _Row] = {}
+        for tx in self.nodes:
+            receivers = tuple(rx for rx in self.nodes if rx != tx)
+            links = tuple(
+                None if moving & {tx, rx} else self.link(tx, rx, fixed) for rx in receivers
+            )
+            self.table[tx] = _Row(receivers, links, _drawn(links))
 
     def link(self, tx: str, rx: str, positions: Mapping[str, LatLonAlt]) -> Link:
         override = self.links.get((tx, rx))
@@ -555,7 +616,7 @@ class _Simulation:
     def push_emission(self, seq: int, subject: str, app, i: int, count: int) -> None:
         if i < count:
             time_ns = round((app.start_offset_s + i * app.period_s) * NS_PER_S)
-            event = Event(time_ns, seq, EventKind.APP_EMIT, subject, data=(app, i, count))
+            event = Event(time_ns, seq, _APP_EMIT, subject, data=(app, i, count))
             heapq.heappush(self.heap, (time_ns, seq, event))
 
     # -- event handlers ---------------------------------------------------
@@ -565,13 +626,14 @@ class _Simulation:
         while self.heap:
             _, _, event = heapq.heappop(self.heap)
             self.trace(event)
-            if event.kind is EventKind.APP_EMIT:
-                self.on_app_emit(event)
-            elif event.kind is EventKind.TX_START:
-                self.on_tx_start(event)
-            elif event.kind is EventKind.TX_END:
+            kind = event.kind
+            if kind is _TX_END:
                 self.on_tx_end(event)
-            elif event.kind is EventKind.REBROADCAST_FIRE:
+            elif kind is _TX_START:
+                self.on_tx_start(event)
+            elif kind is _APP_EMIT:
+                self.on_app_emit(event)
+            elif kind is _REBROADCAST_FIRE:
                 self.queue_tx(self.nodes[event.subject], event.packet, event.time_ns)
         self.finish()
         return self.report
@@ -596,7 +658,6 @@ class _Simulation:
         payload = self.build_payload(node, app, time_s)
         packet = node.state.originate(app.port, payload, node.radio.hop_limit, time_s)
         self.report.originated[node.spec.id] += 1
-        self.flood_initial_hop[(packet.origin, packet.packet_id)] = packet.hop_limit
         self.queue_tx(node, packet, event.time_ns)
 
     def build_payload(self, node: _NodeRuntime, app, time_s: float) -> bytes:
@@ -615,34 +676,41 @@ class _Simulation:
 
     def queue_tx(self, node: _NodeRuntime, packet: MeshPacket, earliest_ns: int) -> None:
         start_ns = max(earliest_ns, node.busy_until_ns)
-        self.push(start_ns, EventKind.TX_START, node.spec.id, packet=packet)
+        self.push(start_ns, _TX_START, node.spec.id, packet=packet)
 
     def on_tx_start(self, event: Event) -> None:
         node = self.nodes[event.subject]
         if node.busy_until_ns > event.time_ns:
             # A rebroadcast landed mid-transmission; retry when the radio frees.
-            self.push(node.busy_until_ns, EventKind.TX_START, event.subject, packet=event.packet)
+            self.push(node.busy_until_ns, _TX_START, event.subject, packet=event.packet)
             return
         packet = event.packet
-        toa_s = time_on_air_s(len(packet.payload), node.radio)
+        length = len(packet.payload)
+        toa_s = node.toa_s.get(length)
+        if toa_s is None:
+            toa_s = node.toa_s[length] = time_on_air_s(length, node.radio)
         start_ns, end_ns = event.time_ns, event.time_ns + round(toa_s * NS_PER_S)
         node.busy_until_ns = end_ns
         node.airtime_ns += min(end_ns, self.duration_ns) - min(start_ns, self.duration_ns)
         self.report.transmissions += 1
         time_s = start_ns / NS_PER_S
-        links = self.table[event.subject]
+        receivers, links, drawn = self.table[event.subject]
         if self.moving:
             positions = {nid: rt.position_at(time_s) for nid, rt in self.nodes.items()}
-            links = {rx: row or self.link(event.subject, rx, positions) for rx, row in links.items()}
-        candidates = propagate(
+            links = [
+                link or self.link(event.subject, rx, positions)
+                for rx, link in zip(receivers, links)
+            ]
+            drawn = _drawn(links)
+        frame = _AirFrame(
             event.subject,
             packet,
+            end_ns,
             time_s + toa_s,
             node.position_at(time_s),
             links,
-            self.shadow_rng,
+            dict(zip(receivers, propagate(links, drawn, self.normals))),
         )
-        frame = _AirFrame(event.subject, packet, end_ns, candidates)
         # Every frame on the air started no later than this one; those that
         # end after it starts overlap it (touching end to start is no overlap).
         for g in self.on_air:
@@ -650,12 +718,13 @@ class _Simulation:
                 g.rivals.append(frame)
                 frame.rivals.append(g)
         self.on_air.append(frame)
-        self.push(end_ns, EventKind.TX_END, event.subject, packet=packet, data=frame)
+        self.push(end_ns, _TX_END, event.subject, packet=packet, data=frame)
 
     def on_tx_end(self, event: Event) -> None:
         frame: _AirFrame = event.data
         self.on_air.remove(frame)
         report = self.report
+        kept = report.receptions if self.keep_records else None
         # Tallied by identity and added to the report once per frame:
         # Enum.__hash__ runs in Python, so counting by outcome as a key
         # would cost more per candidate than judging it.
@@ -665,40 +734,51 @@ class _Simulation:
         # A node that sent a rival was transmitting during this frame: every
         # started transmission is a frame, and a busy radio defers its start.
         senders = {g.transmitter for g in rivals}
-        for cand in frame.candidates:
-            rx = cand.receiver
+        tx, packet = frame.transmitter, frame.packet
+        port = packet.port.value
+        for (rx, rssi), (distance, _, _, _, _, noise, sensitivity) in zip(
+            frame.rssi_at.items(), frame.links
+        ):
             busy = rx in senders
-            # judge rules a busy receiver out before it reads the rivals;
-            # a receiver that is not busy sent none of them.
-            outcome = cand.outcome = judge(
-                cand.outcome,
-                cand.rssi_dbm,
+            # The receiving radio decides alone whether the frame would decode
+            # without rivals. judge rules a busy receiver out before it reads
+            # the rivals; a receiver that is not busy sent none of them.
+            outcome = judge(
+                _DECODED if rssi >= sensitivity else _BELOW_SENSITIVITY,
+                rssi,
                 () if busy else [g.rssi_at[rx] for g in rivals],
                 busy,
                 capture_db,
             )
+            if outcome is _TX_BUSY:
+                n_tx_busy += 1
+            elif outcome is _COLLIDED:
+                n_collided += 1
+            if outcome is not _DECODED and kept is None:
+                continue
+            # Only a decode or report.json needs the whole record.
+            record = ReceptionRecord(
+                frame.end_s, tx, rx, packet.origin, packet.packet_id, port, packet.hop_limit,
+                rssi, rssi - noise, distance, outcome, frame.tx_position,
+            )
+            if kept is not None:
+                kept.append(record)
             if outcome is _DECODED:
                 n_decoded += 1
-                key = f"{frame.transmitter}->{rx}"
+                key = f"{tx}->{rx}"
                 sums = report.link_sums.get(key)
                 if sums is None:
                     sums = report.link_sums[key] = LinkSums()
                 sums.frames += 1
-                sums.rssi_dbm += cand.rssi_dbm
-                sums.snr_db += cand.snr_db
+                sums.rssi_dbm += rssi
+                sums.snr_db += record.snr_db
                 if rx in self.gateways:
-                    report.gateway_receptions.append(cand)
-                self.deliver(cand, frame.packet, event.time_ns)
-            elif outcome is _TX_BUSY:
-                n_tx_busy += 1
-            elif outcome is _COLLIDED:
-                n_collided += 1
+                    report.gateway_receptions.append(record)
+                self.deliver(record, packet, event.time_ns)
         report.decoded += n_decoded
         report.collided += n_collided
         report.tx_busy += n_tx_busy
-        report.below_sensitivity += len(frame.candidates) - n_decoded - n_collided - n_tx_busy
-        if self.keep_records:
-            report.receptions.extend(frame.candidates)
+        report.below_sensitivity += len(frame.rssi_at) - n_decoded - n_collided - n_tx_busy
         # Frames that overlapped point at each other; break the cycle.
         rivals.clear()
 
@@ -708,15 +788,15 @@ class _Simulation:
             time_s=now_ns / NS_PER_S, rssi_dbm=cand.rssi_dbm, snr_db=cand.snr_db
         )
         for action in rx.state.on_receive(packet, meta):
-            if action.kind is ActionKind.DROP_DUPLICATE:
+            kind = action.kind
+            if kind is _DROP_DUPLICATE:
                 self.report.duplicates_suppressed += 1
-            elif action.kind is ActionKind.DELIVER_TO_APP:
+            elif kind is _DELIVER_TO_APP:
                 self.report.app_deliveries[cand.receiver] += 1
-                initial = self.flood_initial_hop.get(
-                    (packet.origin, packet.packet_id), packet.hop_limit
-                )
+                # The hop limit the origin's RouterState.originate sent it with.
+                initial = max(self.nodes[packet.origin].radio.hop_limit - 1, 0)
                 self.report.hop_count_histogram[initial - packet.hop_limit + 1] += 1
-            elif action.kind is ActionKind.EMIT_UPLINK:
+            elif kind is _EMIT_UPLINK:
                 self.report.delivered_to_gateway[packet.origin] += 1
                 self.report.gateway_deliveries.append(
                     GatewayDelivery(
@@ -726,11 +806,9 @@ class _Simulation:
                         rx=meta,
                     )
                 )
-            elif action.kind is ActionKind.SCHEDULE_REBROADCAST:
+            elif kind is _SCHEDULE_REBROADCAST:
                 fire_ns = now_ns + round(action.delay_s * NS_PER_S)
-                self.push(
-                    fire_ns, EventKind.REBROADCAST_FIRE, cand.receiver, packet=action.packet
-                )
+                self.push(fire_ns, _REBROADCAST_FIRE, cand.receiver, packet=action.packet)
 
     def finish(self) -> None:
         for nid, rt in self.nodes.items():

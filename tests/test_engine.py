@@ -5,6 +5,8 @@ import random
 
 import pytest
 from conftest import flood_oracle
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meshsim import engine
 from meshsim.engine import (
@@ -45,6 +47,26 @@ def test_derive_seed_is_stable_and_stream_separated():
     assert a != derive_seed(42, "backoff", "node2")
     assert a != derive_seed(42, "shadow", "node1")
     assert a != derive_seed(43, "backoff", "node1")
+
+
+# --- shadowing draws -------------------------------------------------------------
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    sizes=st.lists(st.integers(min_value=0, max_value=9), max_size=12),
+    sigma=st.floats(min_value=0.1, max_value=12.0).filter(lambda s: s != 1.0),
+)
+def test_normals_are_gauss_bit_for_bit(seed, sizes, sigma):
+    rng, ref = random.Random(seed), random.Random(seed)
+    normals = engine._Normals(rng)
+    # propagate scales a normal as gauss does: mu + z * sigma with mu 0.0.
+    got = [0.0 + z * sigma for n in sizes for z in normals.take(n)]
+    want = [ref.gauss(0.0, sigma) for _ in range(sum(sizes))]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert rng.getstate()[:2] == ref.getstate()[:2]
+    # The odd value of the last pair waits for the next frame, as gauss_next does.
+    assert normals.spare == ref.getstate()[2]
 
 
 # --- link table -----------------------------------------------------------------

@@ -9,6 +9,8 @@ bytes; update it in the same commit and say why in CHANGES.md.
 
 import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from meshsim.scenarios import (
     Route,
     Scenario,
     Waypoint,
+    scenario_from_dict,
 )
 from meshsim.telemetry import AppSchedule, PayloadSource
 
@@ -223,3 +226,22 @@ def test_link_table_grid_report_matches_golden():
     report = engine.run(sc.replace(outputs=sc.outputs | {"report"}))
     digest = _sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
     assert digest == LINK_TABLE_GRID_REPORT
+
+
+# sha256 of json.dumps(summary_dict(), sort_keys=True) for the benchmark's grid
+# generator at 6x6, seed 1, 300 s. Its only output is the summary, so the run
+# keeps no reception record: this pins the path that builds records only for
+# decodes.
+BENCH_GRID36_SUMMARY = "6bd4f5caa3dbcb96c0044f4d80466ba69188b0641ccbb6b4a7729ddae25015db"
+
+
+def test_bench_grid_summary_without_records_matches_golden():
+    workloads = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    grid_scenario = runpy.run_path(str(workloads))["grid_scenario"]
+    sc = scenario_from_dict(grid_scenario(6, 1, 300.0))
+    assert "report" not in sc.outputs
+    report = engine.run(sc)
+    assert report.receptions == []
+    assert report.decoded > 1000 and report.tx_busy > 10000
+    digest = _sha256(json.dumps(report.summary_dict(), sort_keys=True).encode())
+    assert digest == BENCH_GRID36_SUMMARY
