@@ -8,7 +8,10 @@ engine.run from this checkout's src/, and prints one JSON line per grid:
 the median wall time of three untraced runs and the tracemalloc peak of
 one more run, with the transmission and candidate counts that set the
 work and the number of reception records the run kept (0 unless the
-scenario asks for report.json).
+scenario asks for report.json). A last line does the same for the moving
+path: the built-in cumbre (two of its three nodes on dwell routes) over
+3600 s for seeds 7..54, the batch that cli --seeds 7..54 runs, with the
+time and the tracemalloc peak of the whole batch and its summed counts.
 """
 
 from __future__ import annotations
@@ -30,35 +33,41 @@ SIDES = (4, 6, 8)
 SEED = 1
 DURATION_S = 300.0
 REPEATS = 3
+CUMBRE_SEEDS = range(7, 55)
 
 
-def measure(side: int) -> dict:
-    scenario = scenarios.scenario_from_dict(grid_scenario(side, SEED, DURATION_S))
+def measure(batch: list[scenarios.Scenario]) -> dict:
+    """Median wall time of REPEATS runs of the batch, then one run under tracemalloc."""
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        report = engine.run(scenario)
+        reports = [engine.run(scenario) for scenario in batch]
         times.append(time.perf_counter() - t0)
-        del report
+        del reports
     tracemalloc.start()
-    report = engine.run(scenario)
+    reports = [engine.run(scenario) for scenario in batch]
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {
-        "nodes": side * side,
-        "duration_s": DURATION_S,
+        "nodes": len(batch[0].nodes),
+        "duration_s": batch[0].duration_s,
         "run_s": statistics.median(times),
         "run_s_all": times,
         "tracemalloc_peak_mb": peak / 2**20,
-        "transmissions": report.transmissions,
-        "candidates": sum(report.outcome_counts().values()),
-        "records_kept": len(report.receptions),
+        "transmissions": sum(r.transmissions for r in reports),
+        "candidates": sum(sum(r.outcome_counts().values()) for r in reports),
+        "records_kept": sum(len(r.receptions) for r in reports),
     }
 
 
 def main() -> None:
     for side in SIDES:
-        print(json.dumps(measure(side)), flush=True)
+        grid = scenarios.scenario_from_dict(grid_scenario(side, SEED, DURATION_S))
+        print(json.dumps(measure([grid])), flush=True)
+    cumbre = scenarios.cumbre_scenario()
+    batch = [cumbre.replace(seed=seed) for seed in CUMBRE_SEEDS]
+    row = {"scenario": "cumbre", "seeds": f"{CUMBRE_SEEDS[0]}..{CUMBRE_SEEDS[-1]}"}
+    print(json.dumps({**row, **measure(batch)}), flush=True)
 
 
 if __name__ == "__main__":

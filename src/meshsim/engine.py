@@ -14,6 +14,14 @@ frame carries only its RSSI per receiver; a ReceptionRecord is built
 for a candidate that decodes, or for every candidate when the scenario
 asks for report.json. The summary's figures are folded into the report
 as each candidate is judged.
+
+Each directed pair's Link is built by one _Channel, which computes the
+pair's position-free parts (overrides, link budget, the receiver's
+noise floor and sensitivity) once per run. A pair whose ends are fixed,
+or whose distance is pinned, gets its Link once. A pair with a moving
+end gets a new Link at a frame only when either end's position differs
+from the pair's previous frame; while both dwell, that frame's Link is
+reused.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from math import cos, log, pi, sin, sqrt
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from .geo import LatLonAlt, node_distance_m
 from .mesh import (
@@ -113,6 +121,8 @@ _DELIVER_TO_APP = ActionKind.DELIVER_TO_APP
 _EMIT_UPLINK = ActionKind.EMIT_UPLINK
 _SCHEDULE_REBROADCAST = ActionKind.SCHEDULE_REBROADCAST
 _DROP_DUPLICATE = ActionKind.DROP_DUPLICATE
+_IRRADIANCE_SENSOR = telemetry.PayloadSource.IRRADIANCE_SENSOR
+_GNSS_TRACKER = telemetry.PayloadSource.GNSS_TRACKER
 
 
 class Event(NamedTuple):
@@ -217,8 +227,7 @@ def _position_json(p: LatLonAlt) -> str:
     )
 
 
-@dataclass(frozen=True)
-class GatewayDelivery:
+class GatewayDelivery(NamedTuple):
     """A packet that reached a gateway's application layer."""
 
     time_s: float
@@ -244,12 +253,14 @@ class SimReport:
     """What a run produced.
 
     The engine folds the summary's figures in as it judges each
-    candidate: the outcome counts, link_sums and the hop histogram.
-    gateway_receptions holds the candidates a GATEWAY decoded, in judge
-    order, for the maps. receptions holds every candidate only when
-    "report" is among the scenario's outputs, since only report.json
-    reads it; otherwise it stays empty and memory does not grow with
-    frames x nodes.
+    candidate: the outcome counts, link_sums, delivered_to_gateway and
+    the hop histogram. The lists are filled only for the outputs that
+    read them, so a run without those outputs keeps them empty and its
+    memory does not grow with its length: receptions holds every
+    candidate when "report" is an output; gateway_receptions the
+    candidates a GATEWAY decoded, in judge order, when "map_csv" or
+    "map_kml" is; gateway_deliveries each packet a gateway uplinked when
+    "uplinks" or "series" is.
     """
 
     scenario_name: str
@@ -457,20 +468,77 @@ def propagate(links: Sequence[Link], drawn: int, normals: _Normals) -> list[floa
     ]
 
 
+class _Channel:
+    """One directed pair's channel and the Link of its last pair of positions.
+
+    The override's pins, the link budget and the receiving radio's noise
+    floor and sensitivity are fixed for a run and computed once. link()
+    adds what depends on where the ends are: distance, environment, mean
+    loss and the shadow choice. It is the only place a Link is built.
+    """
+
+    __slots__ = (
+        "distance_m", "env", "shadow_db", "bands", "budget_dbm", "noise_floor_dbm",
+        "sensitivity_dbm", "tx_position", "rx_position", "last",
+    )
+
+    def __init__(
+        self,
+        override: LinkOverride | None,
+        bands: Sequence[EnvBand],
+        tx_radio: RadioConfig,
+        rx_radio: RadioConfig,
+    ):
+        self.distance_m = override.distance_m if override is not None else None
+        self.env = override.env if override is not None else None
+        self.shadow_db = override.shadow_db if override is not None else None
+        self.bands = bands
+        self.budget_dbm = link_budget_dbm(tx_radio, rx_radio)
+        self.noise_floor_dbm = noise_floor_dbm(rx_radio)
+        self.sensitivity_dbm = sensitivity_dbm(rx_radio)
+        self.tx_position: LatLonAlt | None = None
+        self.rx_position: LatLonAlt | None = None
+        self.last: Link | None = None
+
+    def link(self, tx: LatLonAlt, rx: LatLonAlt) -> Link:
+        # node_distance_m squares the differences, so positions that compare
+        # equal (0.0 and -0.0, 100 and 100.0) give the same Link, bit for bit.
+        if tx == self.tx_position and rx == self.rx_position:
+            return self.last
+        distance = self.distance_m
+        if distance is None:
+            distance = node_distance_m(tx, rx)
+        env = self.env
+        if env is None:
+            env = env_for_distance(self.bands, distance)
+        shadow = self.shadow_db
+        if shadow is None and not env.shadowing_sigma_db > 0:
+            shadow = 0.0
+        self.tx_position, self.rx_position = tx, rx
+        self.last = Link(
+            distance,
+            path_loss_db(distance, env),
+            shadow,
+            env.shadowing_sigma_db,
+            self.budget_dbm,
+            self.noise_floor_dbm,
+            self.sensitivity_dbm,
+        )
+        return self.last
+
+
 class _Row(NamedTuple):
     """One sender's links, receivers in node order.
 
-    A link is None when an end moves; it is rebuilt at every frame.
-    drawn counts the links whose shadow is drawn per frame.
+    A link is None where the pair's Link follows a moving end; moving
+    lists those places with the pair's channel and receiver. drawn
+    counts the fixed links whose shadow is drawn per frame.
     """
 
     receivers: tuple[str, ...]
     links: tuple[Link | None, ...]
     drawn: int
-
-
-def _drawn(links: Iterable[Link | None]) -> int:
-    return sum(1 for link in links if link is not None and link.shadow_db is None)
+    moving: tuple[tuple[int, _Channel, _NodeRuntime], ...]
 
 
 class _AirFrame:
@@ -522,13 +590,10 @@ class _Simulation:
     def __init__(self, scenario: Scenario, collect_trace: bool):
         self.scenario = scenario
         self.duration_ns = round(scenario.duration_s * NS_PER_S)
-        self.links = link_overrides(scenario.links)
         self.normals = _Normals(random.Random(derive_seed(scenario.seed, "shadow")))
         self.heap: list[tuple[int, int, Event]] = []
         self.seq = 0
         self.on_air: list[_AirFrame] = []
-        # Only report.json reads every record; the rest is folded at TX_END.
-        self.keep_records = "report" in scenario.outputs
         self.gateways = {
             spec.id for spec in scenario.nodes if spec.role is NodeRole.GATEWAY
         }
@@ -537,6 +602,17 @@ class _Simulation:
             seed=scenario.seed,
             duration_s=scenario.duration_s,
             trace=[] if collect_trace else None,
+        )
+        # Only report.json reads every record, only the maps read the gateway
+        # receptions and only uplinks and series read the gateway deliveries;
+        # the summary is folded at TX_END.
+        outputs = scenario.outputs
+        self.receptions = self.report.receptions if "report" in outputs else None
+        self.gateway_receptions = (
+            self.report.gateway_receptions if outputs & {"map_csv", "map_kml"} else None
+        )
+        self.gateway_deliveries = (
+            self.report.gateway_deliveries if outputs & {"uplinks", "series"} else None
         )
         self.nodes: dict[str, _NodeRuntime] = {}
         for spec in scenario.nodes:
@@ -552,43 +628,30 @@ class _Simulation:
             self.nodes[spec.id] = _NodeRuntime(
                 spec, radio, state, scenario.node_route(spec)
             )
-        # One Link per directed pair, receivers in node order, built once.
-        # A pair with a moving end holds None and is rebuilt at every frame.
-        moving = {nid for nid, rt in self.nodes.items() if rt.route is not None}
-        self.moving = bool(moving)
-        fixed = {nid: rt.spec.position for nid, rt in self.nodes.items()}
+        # One Link per directed pair, receivers in node order, built once. A
+        # pair with a moving end and no pinned distance holds None; its channel
+        # rebuilds the Link at a frame only when an end has moved since the
+        # pair's last frame.
+        overrides = link_overrides(scenario.links)
         self.table: dict[str, _Row] = {}
-        for tx in self.nodes:
+        for tx, tx_rt in self.nodes.items():
             receivers = tuple(rx for rx in self.nodes if rx != tx)
-            links = tuple(
-                None if moving & {tx, rx} else self.link(tx, rx, fixed) for rx in receivers
-            )
-            self.table[tx] = _Row(receivers, links, _drawn(links))
-
-    def link(self, tx: str, rx: str, positions: Mapping[str, LatLonAlt]) -> Link:
-        override = self.links.get((tx, rx))
-        if override is not None and override.distance_m is not None:
-            distance = override.distance_m
-        else:
-            distance = node_distance_m(positions[tx], positions[rx])
-        if override is not None and override.env is not None:
-            env = override.env
-        else:
-            env = env_for_distance(self.scenario.default_env, distance)
-        if override is not None and override.shadow_db is not None:
-            shadow = override.shadow_db
-        else:
-            shadow = None if env.shadowing_sigma_db > 0 else 0.0
-        rx_radio = self.nodes[rx].radio
-        return Link(
-            distance,
-            path_loss_db(distance, env),
-            shadow,
-            env.shadowing_sigma_db,
-            link_budget_dbm(self.nodes[tx].radio, rx_radio),
-            noise_floor_dbm(rx_radio),
-            sensitivity_dbm(rx_radio),
-        )
+            links: list[Link | None] = []
+            moving = []
+            for i, rx in enumerate(receivers):
+                rx_rt = self.nodes[rx]
+                channel = _Channel(
+                    overrides.get((tx, rx)), scenario.default_env, tx_rt.radio, rx_rt.radio
+                )
+                if channel.distance_m is None and (
+                    tx_rt.route is not None or rx_rt.route is not None
+                ):
+                    links.append(None)
+                    moving.append((i, channel, rx_rt))
+                else:
+                    links.append(channel.link(tx_rt.spec.position, rx_rt.spec.position))
+            drawn = sum(1 for link in links if link is not None and link.shadow_db is None)
+            self.table[tx] = _Row(receivers, tuple(links), drawn, tuple(moving))
 
     # -- scheduling ------------------------------------------------------
 
@@ -623,9 +686,12 @@ class _Simulation:
 
     def run(self) -> SimReport:
         self.schedule_app_emissions()
-        while self.heap:
-            _, _, event = heapq.heappop(self.heap)
-            self.trace(event)
+        heap, heappop = self.heap, heapq.heappop
+        trace = self.trace if self.report.trace is not None else None
+        while heap:
+            _, _, event = heappop(heap)
+            if trace is not None:
+                trace(event)
             kind = event.kind
             if kind is _TX_END:
                 self.on_tx_end(event)
@@ -639,8 +705,6 @@ class _Simulation:
         return self.report
 
     def trace(self, event: Event) -> None:
-        if self.report.trace is None:
-            return
         parts = [f"t={event.time_ns / NS_PER_S:.6f}", f"seq={event.seq}",
                  event.kind.value, f"node={event.subject}"]
         if event.packet is not None:
@@ -661,10 +725,11 @@ class _Simulation:
         self.queue_tx(node, packet, event.time_ns)
 
     def build_payload(self, node: _NodeRuntime, app, time_s: float) -> bytes:
-        if app.payload_source.value == "IRRADIANCE_SENSOR":
+        source = app.payload_source
+        if source is _IRRADIANCE_SENSOR:
             adc = telemetry.irradiance_adc(time_s, self.scenario.irradiance_profile)
             return telemetry.encode_irradiance(telemetry.IrradianceSample.from_adc(adc))
-        if app.payload_source.value == "GNSS_TRACKER":
+        if source is _GNSS_TRACKER:
             pos = node.position_at(time_s)
             return telemetry.encode_position(
                 pos.latitude,
@@ -694,20 +759,22 @@ class _Simulation:
         node.airtime_ns += min(end_ns, self.duration_ns) - min(start_ns, self.duration_ns)
         self.report.transmissions += 1
         time_s = start_ns / NS_PER_S
-        receivers, links, drawn = self.table[event.subject]
-        if self.moving:
-            positions = {nid: rt.position_at(time_s) for nid, rt in self.nodes.items()}
-            links = [
-                link or self.link(event.subject, rx, positions)
-                for rx, link in zip(receivers, links)
-            ]
-            drawn = _drawn(links)
+        # The frame keeps the very object position_at returned: report.json
+        # prints positions by identity, and equal ones may print differently.
+        tx_position = node.position_at(time_s)
+        receivers, links, drawn, moving = self.table[event.subject]
+        if moving:
+            links = list(links)
+            for i, channel, rx in moving:
+                link = links[i] = channel.link(tx_position, rx.position_at(time_s))
+                if link.shadow_db is None:
+                    drawn += 1
         frame = _AirFrame(
             event.subject,
             packet,
             end_ns,
             time_s + toa_s,
-            node.position_at(time_s),
+            tx_position,
             links,
             dict(zip(receivers, propagate(links, drawn, self.normals))),
         )
@@ -724,7 +791,7 @@ class _Simulation:
         frame: _AirFrame = event.data
         self.on_air.remove(frame)
         report = self.report
-        kept = report.receptions if self.keep_records else None
+        kept, gateway_receptions = self.receptions, self.gateway_receptions
         # Tallied by identity and added to the report once per frame:
         # Enum.__hash__ runs in Python, so counting by outcome as a key
         # would cost more per candidate than judging it.
@@ -735,7 +802,6 @@ class _Simulation:
         # started transmission is a frame, and a busy radio defers its start.
         senders = {g.transmitter for g in rivals}
         tx, packet = frame.transmitter, frame.packet
-        port = packet.port.value
         for (rx, rssi), (distance, _, _, _, _, noise, sensitivity) in zip(
             frame.rssi_at.items(), frame.links
         ):
@@ -758,8 +824,8 @@ class _Simulation:
                 continue
             # Only a decode or report.json needs the whole record.
             record = ReceptionRecord(
-                frame.end_s, tx, rx, packet.origin, packet.packet_id, port, packet.hop_limit,
-                rssi, rssi - noise, distance, outcome, frame.tx_position,
+                frame.end_s, tx, rx, packet.origin, packet.packet_id, packet.port.value,
+                packet.hop_limit, rssi, rssi - noise, distance, outcome, frame.tx_position,
             )
             if kept is not None:
                 kept.append(record)
@@ -772,8 +838,8 @@ class _Simulation:
                 sums.frames += 1
                 sums.rssi_dbm += rssi
                 sums.snr_db += record.snr_db
-                if rx in self.gateways:
-                    report.gateway_receptions.append(record)
+                if gateway_receptions is not None and rx in self.gateways:
+                    gateway_receptions.append(record)
                 self.deliver(record, packet, event.time_ns)
         report.decoded += n_decoded
         report.collided += n_collided
@@ -784,9 +850,7 @@ class _Simulation:
 
     def deliver(self, cand: ReceptionRecord, packet: MeshPacket, now_ns: int) -> None:
         rx = self.nodes[cand.receiver]
-        meta = RxMetadata(
-            time_s=now_ns / NS_PER_S, rssi_dbm=cand.rssi_dbm, snr_db=cand.snr_db
-        )
+        meta = RxMetadata(now_ns / NS_PER_S, cand.rssi_dbm, cand.snr_db)
         for action in rx.state.on_receive(packet, meta):
             kind = action.kind
             if kind is _DROP_DUPLICATE:
@@ -798,14 +862,10 @@ class _Simulation:
                 self.report.hop_count_histogram[initial - packet.hop_limit + 1] += 1
             elif kind is _EMIT_UPLINK:
                 self.report.delivered_to_gateway[packet.origin] += 1
-                self.report.gateway_deliveries.append(
-                    GatewayDelivery(
-                        time_s=meta.time_s,
-                        gateway_id=cand.receiver,
-                        packet=packet,
-                        rx=meta,
+                if self.gateway_deliveries is not None:
+                    self.gateway_deliveries.append(
+                        GatewayDelivery(meta.time_s, cand.receiver, packet, meta)
                     )
-                )
             elif kind is _SCHEDULE_REBROADCAST:
                 fire_ns = now_ns + round(action.delay_s * NS_PER_S)
                 self.push(fire_ns, _REBROADCAST_FIRE, cand.receiver, packet=action.packet)

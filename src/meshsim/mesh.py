@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .phy import RadioConfig, round_half_away_from_zero, symbol_time_s
 
@@ -77,8 +78,7 @@ class MeshPacket:
             raise ValueError("invalid MeshPacket: " + "; ".join(problems))
 
 
-@dataclass(frozen=True)
-class RxMetadata:
+class RxMetadata(NamedTuple):
     """What the radio knew about one decoded frame."""
 
     time_s: float
@@ -117,11 +117,19 @@ class ActionKind(Enum):
     DROP_DUPLICATE = "DROP_DUPLICATE"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: ActionKind
     packet: MeshPacket | None = None
     delay_s: float = 0.0
+
+
+# Reading a member off an Enum class runs Python code; on_receive, called
+# once per decode, uses these names instead.
+_DELIVER_TO_APP = ActionKind.DELIVER_TO_APP
+_EMIT_UPLINK = ActionKind.EMIT_UPLINK
+_SCHEDULE_REBROADCAST = ActionKind.SCHEDULE_REBROADCAST
+_DROP_DUPLICATE = ActionKind.DROP_DUPLICATE
+_GATEWAY = NodeRole.GATEWAY
 
 
 class DedupCache:
@@ -253,17 +261,22 @@ class RouterState:
         """
         key = (packet.origin, packet.packet_id)
         if self.dedup.contains(key, rx.time_s):
-            return [Action(ActionKind.DROP_DUPLICATE, packet=packet)]
+            return [Action(_DROP_DUPLICATE, packet)]
         self.dedup.insert(key, rx.time_s)
-        actions = [Action(ActionKind.DELIVER_TO_APP, packet=packet)]
-        if self.role is NodeRole.GATEWAY:
-            actions.append(Action(ActionKind.EMIT_UPLINK, packet=packet))
+        actions = [Action(_DELIVER_TO_APP, packet)]
+        if self.role is _GATEWAY:
+            actions.append(Action(_EMIT_UPLINK, packet))
         if should_rebroadcast(packet.hop_limit):
             delay = backoff_delay_s(
                 rx.snr_db, self.role, self.rng, self.contention, self.slot_time_s
             )
-            copy = replace(packet, hop_limit=packet.hop_limit - 1)
-            actions.append(
-                Action(ActionKind.SCHEDULE_REBROADCAST, packet=copy, delay_s=delay)
+            copy = MeshPacket(
+                packet.origin,
+                packet.packet_id,
+                packet.port,
+                packet.hop_limit - 1,
+                packet.payload,
+                packet.channel,
             )
+            actions.append(Action(_SCHEDULE_REBROADCAST, copy, delay))
         return actions

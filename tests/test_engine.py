@@ -15,13 +15,17 @@ from meshsim.engine import (
     judge,
     link_overrides,
 )
-from meshsim.geo import node_distance_m
+from meshsim.geo import LatLonAlt, node_distance_m, offset_position
 from meshsim.mesh import MeshPacket, NodeRole, Port
 from meshsim.phy import EnvironmentClass, RadioConfig, Terrain, sensitivity_dbm, time_on_air_s
 from meshsim.scenarios import (
     REFERENCE_LOSS_915_DB,
+    EnvBand,
     LinkOverride,
     NodeSpec,
+    Route,
+    Scenario,
+    Waypoint,
     campus_scenario,
     cumbre_scenario,
     k4_scenario,
@@ -460,6 +464,105 @@ def test_colocated_static_pair_warns_once_per_run(caplog):
     assert len(clamped) >= 10
     assert {r.distance_m for r in clamped} == {0.0}
     assert sum("1 m reference" in rec.message for rec in caplog.records) == 1
+
+
+_WALK_ORIGIN = LatLonAlt(-0.2, -78.5, 2560.0)
+
+
+def walker_scenario(stops, period_s, duration_s, env, radio=RadioConfig()):
+    """A static gateway at _WALK_ORIGIN and a client on a route through stops.
+
+    stops are (time_s, east_m, north_m, altitude_m) waypoints; the client
+    sends a short text every period_s from t = 0.
+    """
+    route = Route(
+        waypoints=tuple(
+            Waypoint(t, offset_position(_WALK_ORIGIN, east, north, alt))
+            for t, east, north, alt in stops
+        )
+    )
+    chatter = AppSchedule(
+        Port.TEXT_MESSAGE_APP, PayloadSource.TEXT_FIXED, period_s=period_s, text="step"
+    )
+    return Scenario(
+        name="walk",
+        duration_s=duration_s,
+        seed=3,
+        nodes=(
+            NodeSpec(id="gw", name="gateway", role=NodeRole.GATEWAY, position=_WALK_ORIGIN),
+            NodeSpec(
+                id="walker",
+                name="walker",
+                role=NodeRole.CLIENT,
+                position=route.waypoints[0].position,
+                apps=(chatter,),
+                route=route,
+            ),
+        ),
+        default_env=(EnvBand(env=env),),
+        outputs=frozenset({"summary", "report"}),
+        radio=radio,
+    )
+
+
+def test_moving_link_matches_pythagoras_and_log_distance():
+    # The walker dwells at stop 1 until 100 s, walks to stop 2 by 400 s and
+    # dwells there; it sends every 50 s, and a frame lasts well under a
+    # second, so no two frames overlap. Distances come from the offsets the
+    # stops were placed with; RSSI from the radio's and environment's numbers.
+    stop1, stop2 = (300.0, 400.0, 2600.0), (-600.0, 800.0, 2500.0)
+    stops = ((0.0, *stop1), (100.0, *stop1), (400.0, *stop2), (600.0, *stop2))
+    env = EnvironmentClass(Terrain.NLOS_BUILT, 2.9, 40.0, shadowing_sigma_db=0.0)
+    radio = RadioConfig(tx_power_dbm=20.0, antenna_gain_tx_dbi=2.0, antenna_gain_rx_dbi=3.0)
+    report = engine.run(walker_scenario(stops, 50.0, 600.0, env, radio))
+    budget_dbm = 20.0 + 2.0 + 3.0
+
+    def offsets_at(t):
+        if t <= 100.0:
+            return stop1
+        if t >= 400.0:
+            return stop2
+        f = (t - 100.0) / 300.0
+        return tuple(a + f * (b - a) for a, b in zip(stop1, stop2))
+
+    sent = sorted(
+        (r for r in report.receptions if r.transmitter == "walker"), key=lambda r: r.time_s
+    )
+    starts = [50.0 * k for k in range(13)]
+    assert len(sent) == len(starts)
+    on_the_move = [t for t in starts if 100.0 < t < 400.0]
+    assert len(on_the_move) >= 2 and len(starts) - len(on_the_move) >= 2
+    for rec, start in zip(sent, starts):
+        east, north, alt = offsets_at(start)
+        distance = math.sqrt(east**2 + north**2 + (alt - 2560.0) ** 2)
+        assert rec.receiver == "gw"
+        assert rec.distance_m == pytest.approx(distance, rel=1e-9)
+        assert rec.rssi_dbm == pytest.approx(
+            budget_dbm - (40.0 + 10.0 * 2.9 * math.log10(distance)), abs=1e-6
+        )
+
+
+def test_colocated_moving_pair_warns_once_per_distinct_positions(caplog):
+    # The walker dwells 0.3 m east of the gateway until 50 s, then 0.3 m
+    # north of it from 60 s, sending every 10 s from 0 to 90 s: six frames
+    # at the first stop and four at the second, all under the 1 m
+    # reference. A hop limit of 1 keeps the gateway from rebroadcasting.
+    # The pair's Link is rebuilt only when a position changes, so the
+    # clamp warns once per stop, not once per frame.
+    stops = (
+        (0.0, 0.3, 0.0, 2560.0),
+        (50.0, 0.3, 0.0, 2560.0),
+        (60.0, 0.0, 0.3, 2560.0),
+        (100.0, 0.0, 0.3, 2560.0),
+    )
+    env = EnvironmentClass(Terrain.LOS_OPEN, 2.0, REFERENCE_LOSS_915_DB)
+    sc = walker_scenario(stops, 10.0, 95.0, env, RadioConfig(hop_limit=1))
+    with caplog.at_level("WARNING", logger="meshsim.phy"):
+        report = engine.run(sc)
+    clamped = [r for r in report.receptions if r.transmitter == "walker"]
+    assert len(clamped) == 10
+    assert all(r.distance_m < 1.0 for r in clamped)
+    assert sum("1 m reference" in rec.message for rec in caplog.records) == 2
 
 
 def test_app_emissions_wait_on_the_heap_one_at_a_time(monkeypatch):

@@ -230,8 +230,8 @@ def test_link_table_grid_report_matches_golden():
 
 # sha256 of json.dumps(summary_dict(), sort_keys=True) for the benchmark's grid
 # generator at 6x6, seed 1, 300 s. Its only output is the summary, so the run
-# keeps no reception record: this pins the path that builds records only for
-# decodes.
+# keeps no reception record and no gateway list: this pins the path that builds
+# records only for decodes.
 BENCH_GRID36_SUMMARY = "6bd4f5caa3dbcb96c0044f4d80466ba69188b0641ccbb6b4a7729ddae25015db"
 
 
@@ -239,9 +239,13 @@ def test_bench_grid_summary_without_records_matches_golden():
     workloads = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     grid_scenario = runpy.run_path(str(workloads))["grid_scenario"]
     sc = scenario_from_dict(grid_scenario(6, 1, 300.0))
-    assert "report" not in sc.outputs
+    assert sc.outputs == {"summary"}
     report = engine.run(sc)
     assert report.receptions == []
+    # No map, uplinks or series output reads the gateway lists; the count
+    # of gateway deliveries is still folded into the summary.
+    assert report.gateway_receptions == [] and report.gateway_deliveries == []
+    assert sum(report.delivered_to_gateway.values()) > 0
     assert report.decoded > 1000 and report.tx_busy > 10000
     digest = _sha256(json.dumps(report.summary_dict(), sort_keys=True).encode())
     assert digest == BENCH_GRID36_SUMMARY
