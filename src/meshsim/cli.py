@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import engine, gateway
@@ -151,15 +152,30 @@ def write_outputs(
     if "map_kml" in outputs:
         emit("map.kml", gateway.reception_map_kml(report, scenario))
     if outputs & {"uplinks", "series"}:
-        uplinks = [
-            gateway.uplink_from_delivery(d, region=scenario.region, epoch_s=scenario.epoch_s)
-            for d in report.gateway_deliveries
-        ]
-        if "uplinks" in outputs:
-            emit("uplinks.ndjson", "".join(u.to_json() + "\n" for u in uplinks))
-        if "series" in outputs:
-            records = [r for u in uplinks for r in gateway.uplink_to_series(u)]
-            emit("series.lp", gateway.serialize_line_protocol(records) + "\n")
+        # One delivery at a time: its uplink, JSON line and series points are
+        # written before the next is built, so memory does not grow with the run.
+        with ExitStack() as stack:
+
+            def stream(name: str, kind: str):
+                if kind not in outputs:
+                    return None
+                target = out_dir / name
+                written.append(target)
+                return stack.enter_context(target.open("w", encoding="utf-8")).write
+
+            write_uplink = stream("uplinks.ndjson", "uplinks")
+            write_series = stream("series.lp", "series")
+            for delivery in report.gateway_deliveries:
+                uplink = gateway.uplink_from_delivery(
+                    delivery, region=scenario.region, epoch_s=scenario.epoch_s
+                )
+                if write_uplink is not None:
+                    write_uplink(uplink.to_json() + "\n")
+                if write_series is not None:
+                    records = gateway.uplink_to_series(uplink)
+                    write_series(gateway.serialize_line_protocol(records) + "\n")
+            if write_series is not None and not report.gateway_deliveries:
+                write_series("\n")  # what serialize_line_protocol([]) + "\n" gives
     return written
 
 

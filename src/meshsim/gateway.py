@@ -5,16 +5,25 @@ packets as JSON on an MQTT-style topic, a collector flattens them into
 line-protocol records for a time-series store, and reception metadata is
 exported for coverage mapping. All serializers are canonical (sorted keys,
 fixed float precision) so equal inputs produce byte-equal output.
+
+The uplink and series writers work one delivery at a time: a caller turns
+each delivery into one UplinkMessage, then into its JSON line and its
+line-protocol points, and writes them before taking the next, so nothing
+is held across deliveries. The fixed work is done once: one JSON encoder
+serves every uplink, and line-protocol names, which repeat a few ids, are
+escaped once and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Iterable
 
-from .engine import GatewayDelivery, SimReport
+from .engine import GatewayDelivery, ReceptionRecord, SimReport
 from .geo import geo_to_local
 from .mesh import NodeRole, Port
 from .scenarios import NS_PER_S, Scenario
@@ -41,6 +50,14 @@ RSSI_RED_THRESHOLD_DBM = -110.0
 
 _MAP_COLUMNS = "time_s,node,x_m,y_m,distance_m,rssi_dbm,snr_db,bucket,port"
 
+# Enum .value is a property; the series path compares ports per delivery.
+_POSITION_APP = Port.POSITION_APP.value
+_TELEMETRY_APP = Port.TELEMETRY_APP.value
+_TEXT_MESSAGE_APP = Port.TEXT_MESSAGE_APP.value
+
+# What json.dumps(..., sort_keys=True, separators=(",", ":")) would build per call.
+_UPLINK_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 # KML colors are aabbggrr.
 _KML_COLORS = {"GREEN": "ff00ff00", "ORANGE": "ff00a5ff", "RED": "ff0000ff"}
 
@@ -63,16 +80,12 @@ class UplinkMessage:
 
     def to_json(self) -> str:
         # One replayable publish: topic plus payload, canonical key order.
-        return json.dumps(
-            {"body": self.body, "topic": self.topic},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return _UPLINK_ENCODER.encode({"body": self.body, "topic": self.topic})
 
 
 def _decode_payload(port: str, payload: bytes) -> dict[str, Any]:
     try:
-        if port == Port.POSITION_APP.value:
+        if port == _POSITION_APP:
             fix = decode_position(payload)
             return {
                 "latitude_i": fix.latitude_i,
@@ -80,7 +93,7 @@ def _decode_payload(port: str, payload: bytes) -> dict[str, Any]:
                 "altitude_m": fix.altitude_m,
                 "fix_time_s": fix.fix_time_s,
             }
-        if port == Port.TELEMETRY_APP.value:
+        if port == _TELEMETRY_APP:
             sample = decode_irradiance(payload)
             out: dict[str, Any] = {
                 "adc_raw": sample.adc_raw,
@@ -90,7 +103,7 @@ def _decode_payload(port: str, payload: bytes) -> dict[str, Any]:
             if sample.battery_soc is not None:
                 out["battery_soc"] = sample.battery_soc
             return out
-        if port == Port.TEXT_MESSAGE_APP.value:
+        if port == _TEXT_MESSAGE_APP:
             return {"text": payload.decode("utf-8")}
     except (CodecError, UnicodeDecodeError):
         pass
@@ -110,13 +123,14 @@ def uplink_from_delivery(
     hardware would.
     """
     packet = delivery.packet
+    port = packet.port.value
     body = {
         "channel": packet.channel,
         "from": packet.origin,
         "hop_limit": packet.hop_limit,
         "id": packet.packet_id,
-        "payload": _decode_payload(packet.port.value, packet.payload),
-        "port": packet.port.value,
+        "payload": _decode_payload(port, packet.payload),
+        "port": port,
         "rssi": int(round_half_away_from_zero(delivery.rx.rssi_dbm)),
         "snr": snr_raw_decode(snr_raw_encode(delivery.rx.snr_db)),
         "timestamp": epoch_s + int(delivery.time_s),
@@ -139,13 +153,19 @@ class SeriesRecord:
             raise ValueError("measurement must be non-empty")
         if not self.fields:
             raise ValueError("at least one field is required")
-        for key, value in list(self.fields.items()):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+        fields = self.fields
+        for key, value in fields.items():
+            kind = type(value)  # the exact types first; subclasses take the long way
+            if kind is int:
+                continue
+            if kind is not float and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
                 raise ValueError(f"field {key!r} must be int or float")
             if isinstance(value, float):
                 if not math.isfinite(value):
                     raise ValueError(f"field {key!r} must be finite")
-                self.fields[key] = round(value, 6)
+                fields[key] = round(value, 6)
 
 
 def uplink_to_series(uplink: UplinkMessage) -> list[SeriesRecord]:
@@ -158,8 +178,9 @@ def uplink_to_series(uplink: UplinkMessage) -> list[SeriesRecord]:
     time_ns = body["timestamp"] * NS_PER_S
     node = body["from"]
     payload = body["payload"]
+    port = body["port"]
     records = []
-    if body["port"] == Port.TELEMETRY_APP.value and "irradiance_wm2" in payload:
+    if port == _TELEMETRY_APP and "irradiance_wm2" in payload:
         records.append(
             SeriesRecord(
                 measurement="irradiance",
@@ -168,7 +189,7 @@ def uplink_to_series(uplink: UplinkMessage) -> list[SeriesRecord]:
                 time_ns=time_ns,
             )
         )
-    elif body["port"] == Port.POSITION_APP.value and "latitude_i" in payload:
+    elif port == _POSITION_APP and "latitude_i" in payload:
         records.append(
             SeriesRecord(
                 measurement="position",
@@ -192,7 +213,9 @@ def uplink_to_series(uplink: UplinkMessage) -> list[SeriesRecord]:
     return records
 
 
-def _escape(text: str, *, chars: str) -> str:
+# A run names a handful of measurements, tags and ids, over and over.
+@functools.lru_cache(maxsize=4096)
+def _escape(text: str, chars: str) -> str:
     out = text.replace("\\", "\\\\")
     for ch in chars:
         out = out.replace(ch, "\\" + ch)
@@ -213,62 +236,61 @@ def serialize_line_protocol(records: Iterable[SeriesRecord]) -> str:
     """
     lines = []
     for rec in records:
-        head = _escape(rec.measurement, chars=", ")
-        for key in sorted(rec.tags):
-            head += (
-                ","
-                + _escape(key, chars=",= ")
-                + "="
-                + _escape(rec.tags[key], chars=",= ")
-            )
-        fields = ",".join(
-            _escape(key, chars=",= ") + "=" + _format_field_value(rec.fields[key])
-            for key in sorted(rec.fields)
+        tags, fields = rec.tags, rec.fields
+        head = _escape(rec.measurement, ", ")
+        for key in sorted(tags):
+            head += f",{_escape(key, ',= ')}={_escape(tags[key], ',= ')}"
+        values = ",".join(
+            f"{_escape(key, ',= ')}={_format_field_value(fields[key])}"
+            for key in sorted(fields)
         )
-        lines.append(f"{head} {fields} {rec.time_ns}")
+        lines.append(f"{head} {values} {rec.time_ns}")
     return "\n".join(lines)
 
 
-def _gateway_rows(report: SimReport, scenario: Scenario) -> list[dict[str, Any]]:
-    gateways = {
-        spec.id: spec.position
-        for spec in scenario.nodes
-        if spec.role is NodeRole.GATEWAY
-    }
-    rows = []
-    for rec in report.gateway_receptions:
-        origin = gateways[rec.receiver]
-        x_m, y_m = geo_to_local(rec.tx_position, origin)
-        rows.append(
-            {
-                "time_s": rec.time_s,
-                "node": rec.transmitter,
-                "x_m": x_m,
-                "y_m": y_m,
-                "distance_m": rec.distance_m,
-                "rssi_dbm": rec.rssi_dbm,
-                "snr_db": rec.snr_db,
-                "bucket": classify_rssi(rec.rssi_dbm),
-                "port": rec.port,
-                "position": rec.tx_position,
-            }
-        )
-    rows.sort(key=lambda r: (r["time_s"], r["node"]))
-    return rows
+def _gateway_rows(report: SimReport) -> list[ReceptionRecord]:
+    """The frames decoded at gateways, sorted by (time_s, transmitter).
+
+    The records themselves are the rows: the maps format what they need
+    straight off each one, so a map costs one list of references.
+    """
+    return sorted(report.gateway_receptions, key=attrgetter("time_s", "transmitter"))
+
+
+@functools.lru_cache(maxsize=1024)
+def _csv_field(text: str) -> str:
+    """Quote a field only when it needs it, as csv.QUOTE_MINIMAL does."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def reception_map_csv(report: SimReport, scenario: Scenario) -> str:
     """Coverage map of frames decoded at gateways, x/y in gateway-local
     meters. Header-only when nothing was received.
     """
+    gateways = {
+        spec.id: spec.position
+        for spec in scenario.nodes
+        if spec.role is NodeRole.GATEWAY
+    }
     lines = [_MAP_COLUMNS]
-    for row in _gateway_rows(report, scenario):
+    for rec in _gateway_rows(report):
+        x_m, y_m = geo_to_local(rec.tx_position, gateways[rec.receiver])
+        rssi = rec.rssi_dbm
         lines.append(
-            f"{row['time_s']:.6f},{row['node']},{row['x_m']:.3f},{row['y_m']:.3f},"
-            f"{row['distance_m']:.3f},{row['rssi_dbm']:.3f},{row['snr_db']:.3f},"
-            f"{row['bucket']},{row['port']}"
+            f"{rec.time_s:.6f},{_csv_field(rec.transmitter)},{x_m:.3f},{y_m:.3f},"
+            f"{rec.distance_m:.3f},{rssi:.3f},{rec.snr_db:.3f},"
+            f"{classify_rssi(rssi)},{rec.port}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _xml_text(text: str) -> str:
+    """Escape character data as xml.sax.saxutils.escape does, without its
+    import, which pulls in urllib and several MB of modules.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def reception_map_kml(report: SimReport, scenario: Scenario) -> str:
@@ -277,21 +299,21 @@ def reception_map_kml(report: SimReport, scenario: Scenario) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<kml xmlns="http://www.opengis.net/kml/2.2">',
         "<Document>",
-        f"<name>{scenario.name} coverage</name>",
+        f"<name>{_xml_text(scenario.name)} coverage</name>",
     ]
     for bucket, color in _KML_COLORS.items():
         out.append(
             f'<Style id="{bucket}"><IconStyle><color>{color}</color>'
             "</IconStyle></Style>"
         )
-    for row in _gateway_rows(report, scenario):
-        pos = row["position"]
+    for rec in _gateway_rows(report):
+        pos = rec.tx_position
         out.append(
             "<Placemark>"
-            f"<name>{row['node']} t={row['time_s']:.1f}s</name>"
-            f"<description>rssi={row['rssi_dbm']:.1f} dBm "
-            f"snr={row['snr_db']:.2f} dB port={row['port']}</description>"
-            f"<styleUrl>#{row['bucket']}</styleUrl>"
+            f"<name>{_xml_text(rec.transmitter)} t={rec.time_s:.1f}s</name>"
+            f"<description>rssi={rec.rssi_dbm:.1f} dBm "
+            f"snr={rec.snr_db:.2f} dB port={rec.port}</description>"
+            f"<styleUrl>#{classify_rssi(rec.rssi_dbm)}</styleUrl>"
             f"<Point><coordinates>{pos.longitude:.7f},{pos.latitude:.7f},"
             f"{pos.altitude_m:.1f}</coordinates></Point>"
             "</Placemark>"

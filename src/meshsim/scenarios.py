@@ -12,6 +12,7 @@ import bisect
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -41,6 +42,8 @@ NS_PER_S = 1_000_000_000  # the simulation clock ticks in nanoseconds
 # Most app emissions one scenario may ask for, summed over every app. It
 # bounds a run's work: the built-ins ask for at most a few thousand.
 MAX_EMISSIONS = 10_000_000
+# C0 controls and DEL, rejected in node ids and the scenario name.
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f]")
 
 REFERENCE_LOSS_915_DB = reference_loss_1m_db(915e6)
 
@@ -92,6 +95,15 @@ class Route:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("route waypoint times must be strictly increasing")
         object.__setattr__(self, "_times", tuple(times))
+        # A segment between equal waypoints is a dwell. There f * (b - a) is a
+        # signed zero of the same sign for every f >= 0, so the formula gives
+        # the same bits at every f as at f = 0.0: compute it once. Not the
+        # waypoint itself, which may hold -0.0 or an int altitude.
+        held = [None]
+        for before, after in zip(self.waypoints, self.waypoints[1:]):
+            a, b = before.position, after.position
+            held.append(_interpolate(a, b, 0.0) if a == b else None)
+        object.__setattr__(self, "_held", tuple(held))
 
     def position_at(self, time_s: float) -> LatLonAlt:
         times: tuple[float, ...] = self._times  # type: ignore[attr-defined]
@@ -105,14 +117,20 @@ class Route:
         if t >= times[-1]:
             return self.waypoints[-1].position
         i = bisect.bisect_right(times, t)
+        held = self._held[i]  # type: ignore[attr-defined]
+        if held is not None:
+            return held
         before, after = self.waypoints[i - 1], self.waypoints[i]
         f = (t - before.time_s) / (after.time_s - before.time_s)
-        a, b = before.position, after.position
-        return LatLonAlt(
-            a.latitude + f * (b.latitude - a.latitude),
-            a.longitude + f * (b.longitude - a.longitude),
-            a.altitude_m + f * (b.altitude_m - a.altitude_m),
-        )
+        return _interpolate(before.position, after.position, f)
+
+
+def _interpolate(a: LatLonAlt, b: LatLonAlt, f: float) -> LatLonAlt:
+    return LatLonAlt(
+        a.latitude + f * (b.latitude - a.latitude),
+        a.longitude + f * (b.longitude - a.longitude),
+        a.altitude_m + f * (b.altitude_m - a.altitude_m),
+    )
 
 
 @dataclass(frozen=True)
@@ -200,6 +218,18 @@ class Scenario:
                 v.append(f"{where} is not encodable as UTF-8 ({exc.reason})")
                 return None
 
+        def printable(where: str, text: str) -> bool:
+            # Ids and the name reach series.lp, which cannot escape a line break,
+            # and map.kml; XML 1.0 forbids the C0 controls.
+            if encoded(where, text) is None:
+                return False
+            control = _CONTROL_CHAR.search(text)
+            if control is not None:
+                v.append(
+                    f"{where} contains control character U+{ord(control.group()):04X}"
+                )
+            return control is None
+
         def check_route(where: str, route: Route | None) -> None:
             for j, waypoint in enumerate(route.waypoints if route else ()):
                 if waypoint.time_s < 0:
@@ -208,7 +238,7 @@ class Scenario:
 
         if not self.name:
             v.append("name: must not be empty")
-        encoded("name", self.name)
+        printable("name", self.name)
         if self.duration_s <= 0:
             v.append(f"duration_s: {self.duration_s} must be positive")
         elif not self.duration_s * NS_PER_S <= sys.float_info.max:
@@ -231,8 +261,8 @@ class Scenario:
         seen: set[str] = set()
         for i, node in enumerate(self.nodes):
             where = f"nodes[{i}]"
-            if encoded(f"{where}: id", node.id) is not None:
-                where = f"{where} ({node.id})"  # keep an unencodable id out of messages
+            if printable(f"{where}: id", node.id):
+                where = f"{where} ({node.id})"  # keep an unprintable id out of messages
             encoded(f"{where}: name", node.name)
             if not node.id:
                 v.append(f"{where}: node id must not be empty")

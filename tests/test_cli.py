@@ -6,13 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import meshsim
-from meshsim.cli import main
-from meshsim.scenarios import MAX_EMISSIONS, campus_scenario, k4_scenario
+from meshsim import engine
+from meshsim.cli import main, write_outputs
+from meshsim.scenarios import MAX_EMISSIONS, campus_scenario, k4_scenario, line_scenario
 
 
 def run_cli(*argv):
@@ -299,6 +301,30 @@ def test_lone_surrogate_string_is_usage_error(tmp_path, capsys, path, message):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("name",), "k4\nday", "error: name contains control character U+000A"),
+        (("nodes", 0, "id"), "node\x7f0", "error: nodes[0]: id contains control character U+007F"),
+        (("nodes", 3, "id"), "gw\x00", "error: nodes[3]: id contains control character U+0000"),
+    ],
+    ids=["name-newline", "node-id-del", "gateway-id-nul"],
+)
+def test_control_character_is_usage_error(tmp_path, capsys, path, value, message):
+    # series.lp cannot escape a line break and XML 1.0 forbids C0 controls.
+    obj = k4_scenario().to_dict()
+    *parents, key = path
+    target = obj
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    scenario = tmp_path / "control.json"
+    scenario.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(scenario), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_unparseable_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -379,3 +405,41 @@ def test_calibrate_bad_row(tmp_path, capsys):
     csv_path.write_text("distance_m,rssi_dbm\nabc,-80\n")
     assert run_cli("--calibrate", str(csv_path)) == 2
     assert "bad calibration row" in capsys.readouterr().err
+
+
+# --- the streaming gateway writer ------------------------------------------------
+
+
+def _write_peak_bytes(scenario, out_dir):
+    """tracemalloc peak of write_outputs above the heap it starts from."""
+    report = engine.run(scenario)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_outputs(report, scenario, out_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return len(report.gateway_deliveries), peak - start
+
+
+def test_uplink_and_series_memory_does_not_grow_with_deliveries(tmp_path):
+    kinds = frozenset({"summary", "uplinks", "series"})
+    campus = campus_scenario().replace(outputs=kinds)
+    short = _write_peak_bytes(campus.replace(duration_s=6 * 3600.0), tmp_path / "6h")
+    day = _write_peak_bytes(campus.replace(duration_s=24 * 3600.0), tmp_path / "24h")
+    assert day[0] > 3 * short[0]  # about four times the deliveries...
+    assert day[1] < 1.5 * short[1]  # ...and no more memory to write them
+    lines = (tmp_path / "24h" / "uplinks.ndjson").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == day[0]
+
+
+def test_gateway_without_deliveries_writes_empty_streams(tmp_path):
+    # The flood's hop budget runs out before the gateway at the end of the line.
+    scenario = line_scenario(count=5).replace(outputs=frozenset({"summary", "uplinks", "series"}))
+    report = engine.run(scenario)
+    assert report.gateway_deliveries == []
+    written = write_outputs(report, scenario, tmp_path)
+    assert [p.name for p in written] == ["summary.json", "uplinks.ndjson", "series.lp"]
+    assert (tmp_path / "uplinks.ndjson").read_bytes() == b""
+    assert (tmp_path / "series.lp").read_bytes() == b"\n"

@@ -1,8 +1,12 @@
 """Uplink JSON, line protocol, buckets, and map exports."""
 
+import csv
+import dataclasses
+import io
 import json
 import random
 import string
+from xml.etree import ElementTree
 
 import pytest
 from conftest import parse_line_protocol
@@ -150,6 +154,21 @@ def test_series_record_validation():
 def test_series_record_quantizes_floats():
     rec = SeriesRecord("m", {}, {"v": 1.23456789}, 0)
     assert rec.fields["v"] == 1.234568
+
+
+def test_series_record_rules_hold_for_subclasses():
+    class Meters(float):
+        pass
+
+    class Count(int):
+        pass
+
+    rec = SeriesRecord("m", {}, {"a": Meters(1.23456789), "b": Count(3), "c": 7}, 0)
+    assert rec.fields == {"a": 1.234568, "b": 3, "c": 7}
+    assert type(rec.fields["a"]) is float
+    for bad in (float("inf"), -float("inf"), Meters("nan"), False, None, "1"):
+        with pytest.raises(ValueError):
+            SeriesRecord("m", {}, {"v": bad}, 0)
 
 
 # --- line protocol ----------------------------------------------------------------
@@ -308,3 +327,49 @@ def test_map_kml_structure():
     for bucket in ("GREEN", "ORANGE", "RED"):
         assert f'<Style id="{bucket}">' in kml
     assert "</kml>" in kml
+
+
+def _k4_with_ids(*ids):
+    """k4 with its first nodes renamed, writing both maps."""
+    sc = k4_scenario()
+    nodes = tuple(
+        dataclasses.replace(node, id=new) for node, new in zip(sc.nodes, ids)
+    ) + sc.nodes[len(ids):]
+    return sc.replace(
+        name="k4 <&> map", nodes=nodes, outputs=frozenset({"summary", "map_csv", "map_kml"})
+    )
+
+
+HOSTILE_IDS = ('a,b"c<&>', '"quoted"', "x>y")
+
+
+def test_map_csv_quotes_ids_as_the_csv_module_reads_them():
+    sc = _k4_with_ids(*HOSTILE_IDS)
+    report = engine.run(sc)
+    text = reception_map_csv(report, sc)
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
+    assert len(rows) == len(report.gateway_receptions) > 0
+    records = sorted(report.gateway_receptions, key=lambda r: (r.time_s, r.transmitter))
+    for row, rec in zip(rows, records):
+        assert None not in row  # no row spilled over the nine columns
+        assert row["node"] == rec.transmitter
+        assert row["bucket"] in {"GREEN", "ORANGE", "RED"}
+        assert row["port"] == rec.port
+    assert HOSTILE_IDS[0] in {row["node"] for row in rows}
+
+
+def test_map_csv_leaves_plain_ids_unquoted():
+    sc = k4_scenario()
+    assert '"' not in reception_map_csv(engine.run(sc), sc)
+
+
+def test_map_kml_escapes_ids_and_the_scenario_name():
+    sc = _k4_with_ids(*HOSTILE_IDS)
+    report = engine.run(sc)
+    root = ElementTree.fromstring(reception_map_kml(report, sc).encode("utf-8"))
+    ns = {"k": "http://www.opengis.net/kml/2.2"}
+    assert root.find("k:Document/k:name", ns).text == "k4 <&> map coverage"
+    names = [p.find("k:name", ns).text for p in root.iterfind("k:Document/k:Placemark", ns)]
+    assert len(names) == len(report.gateway_receptions) > 0
+    assert {name.rsplit(" t=", 1)[0] for name in names} <= set(HOSTILE_IDS) | {"node3"}
+    assert any(name.startswith(HOSTILE_IDS[0] + " t=") for name in names)

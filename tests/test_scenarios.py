@@ -494,9 +494,19 @@ _app = st.builds(
 )
 
 
+# Node ids and the scenario name may hold any character but a C0 control or DEL.
+_printable = st.characters(
+    exclude_categories=("Cs",), exclude_characters=[chr(c) for c in range(0x20)] + ["\x7f"]
+)
+
+
 @st.composite
 def _scenarios(draw):
-    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    ids = draw(
+        st.lists(
+            st.text(_printable, min_size=1, max_size=6), min_size=1, max_size=4, unique=True
+        )
+    )
     nodes = tuple(
         NodeSpec(
             id=node_id,
@@ -534,7 +544,7 @@ def _scenarios(draw):
     pairs = st.tuples(st.integers(0, 16), st.integers(0, 16)).map(lambda p: tuple(sorted(p)))
     sunrise = draw(_nonneg(40_000.0))
     return Scenario(
-        name=draw(st.text(min_size=1, max_size=10)),
+        name=draw(st.text(_printable, min_size=1, max_size=10)),
         duration_s=draw(_positive(1e6)),
         seed=draw(st.integers(0, 2**63)),
         nodes=nodes,
@@ -666,3 +676,50 @@ def test_route_validation_and_interpolation():
     mid = route.position_at(5.0)
     assert mid.latitude == pytest.approx(0.0005)
     assert mid.altitude_m == pytest.approx(50.0)
+
+
+def _equal_values(x):
+    """Values that compare equal to x but may print differently."""
+    if x == 0:
+        return [0.0, -0.0, 0]
+    if isinstance(x, int):
+        return [x, float(x)]
+    return [x]
+
+
+_coordinate = st.sampled_from([0.0, -0.0, 0, 2560, -3]) | st.floats(-1e4, 1e4)
+
+
+@st.composite
+def _dwell_routes(draw):
+    """Three waypoints: a move, then a dwell between equal positions."""
+    start = LatLonAlt(*(draw(_coordinate) for _ in range(3)))
+    a = [draw(_coordinate) for _ in range(3)]
+    b = [draw(st.sampled_from(_equal_values(x))) for x in a]
+    t0 = draw(st.floats(0.0, 1e5))
+    t1 = t0 + draw(st.floats(1e-3, 1e5))
+    t2 = t1 + draw(st.floats(1e-3, 1e5))
+    waypoints = (
+        Waypoint(t0, start),
+        Waypoint(t1, LatLonAlt(*a)),
+        Waypoint(t2, LatLonAlt(*b)),
+    )
+    return Route(waypoints=waypoints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(route=_dwell_routes(), frac=st.floats(0.0, 1.0))
+def test_dwell_position_is_the_interpolation_bit_for_bit(route, frac):
+    _, before, after = route.waypoints
+    t = before.time_s + frac * (after.time_s - before.time_s)
+    if not before.time_s < t < after.time_s:
+        t = before.time_s + (after.time_s - before.time_s) / 2
+    f = (t - before.time_s) / (after.time_s - before.time_s)
+    a, b = before.position, after.position
+    expected = (
+        a.latitude + f * (b.latitude - a.latitude),
+        a.longitude + f * (b.longitude - a.longitude),
+        a.altitude_m + f * (b.altitude_m - a.altitude_m),
+    )
+    # float.hex tells 0.0 from -0.0 and refuses an int left over from a waypoint.
+    assert [float.hex(v) for v in route.position_at(t)] == [float.hex(v) for v in expected]
