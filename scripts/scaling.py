@@ -62,7 +62,9 @@ def measure(batch: list[scenarios.Scenario]) -> dict:
         "run_s_all": times,
         "tracemalloc_peak_mb": peak / 2**20,
         "transmissions": sum(r.transmissions for r in reports),
-        "candidates": sum(sum(r.outcome_counts().values()) for r in reports),
+        "candidates": sum(
+            r.decoded + r.collided + r.below_sensitivity + r.tx_busy for r in reports
+        ),
         "records_kept": sum(len(r.receptions) for r in reports),
     }
 

@@ -6,13 +6,7 @@ telemetry payloads, and the gateway's uplink pipeline. Runs are
 reproducible bit for bit from (scenario, seed).
 """
 
-from .engine import (
-    GatewayDelivery,
-    ReceptionOutcome,
-    ReceptionRecord,
-    SimReport,
-    run,
-)
+from .engine import run
 from .gateway import (
     SeriesRecord,
     UplinkMessage,
@@ -43,6 +37,12 @@ from .phy import (
     sensitivity_dbm,
     time_on_air_s,
 )
+from .report import (
+    GatewayDelivery,
+    ReceptionOutcome,
+    ReceptionRecord,
+    SimReport,
+)
 from .scenarios import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -58,7 +58,7 @@ from .telemetry import (
     PositionFix,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Action",

@@ -12,6 +12,7 @@ import json
 import sys
 from contextlib import ExitStack
 from pathlib import Path
+from typing import TextIO
 
 from . import engine, gateway
 from .phy import (
@@ -132,21 +133,24 @@ def write_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def emit(name: str, text: str) -> None:
+    def create(name: str) -> TextIO:
         target = out_dir / name
-        target.write_text(text, encoding="utf-8")
         written.append(target)
+        return target.open("w", encoding="utf-8")
+
+    def emit(name: str, text: str) -> None:
+        with create(name) as handle:
+            handle.write(text)
 
     summary = report.summary_dict()
     emit("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs = scenario.outputs
     if "report" in outputs:
-        target = out_dir / "report.json"
-        with target.open("w", encoding="utf-8") as handle:
+        with create("report.json") as handle:
             report.write_json(handle, summary)
-        written.append(target)
     if "trace" in outputs:
-        emit("trace.log", "\n".join(report.trace or []) + "\n")
+        with create("trace.log") as handle:
+            handle.writelines(line + "\n" for line in report.trace or [""])
     if "map_csv" in outputs:
         emit("map.csv", gateway.reception_map_csv(report, scenario))
     if "map_kml" in outputs:
@@ -159,9 +163,7 @@ def write_outputs(
             def stream(name: str, kind: str):
                 if kind not in outputs:
                     return None
-                target = out_dir / name
-                written.append(target)
-                return stack.enter_context(target.open("w", encoding="utf-8")).write
+                return stack.enter_context(create(name)).write
 
             write_uplink = stream("uplinks.ndjson", "uplinks")
             write_series = stream("series.lp", "series")

@@ -1,19 +1,21 @@
-"""Deterministic discrete-event radio simulation.
+"""Deterministic discrete-event radio simulation: the event loop and the channel.
 
-Time lives on an integer nanosecond clock; events are ordered by
-(time, insertion sequence), so two runs with the same scenario and seed
-replay the exact same history. The channel model is per-frame: every
-transmission produces one reception candidate per other node. Each frame
-collects every frame it overlapped in time, however long, and when it
-ends each candidate is judged against that set: a receiver that sent one
-of them was busy, and otherwise the frame survives only with a clear
-capture margin over the strongest of them. Log-normal shadowing is
-drawn in exact pairs, with random.gauss's own formula, so a frame takes
-just the normals it needs and the stream matches gauss bit for bit. A
-frame carries only its RSSI per receiver; a ReceptionRecord is built
-for a candidate that decodes, or for every candidate when the scenario
-asks for report.json. The summary's figures are folded into the report
-as each candidate is judged.
+run() plays a scenario and fills a report.SimReport; what a run
+produced, and report.json's writer, live in report. Time lives on an
+integer nanosecond clock; events are ordered by (time, insertion
+sequence), so two runs with the same scenario and seed replay the exact
+same history. The channel model is per-frame: every transmission
+produces one reception candidate per other node. Each frame collects
+every frame it overlapped in time, however long, and when it ends each
+candidate is judged against that set: a receiver that sent one of them
+was busy, and otherwise the frame survives only with a clear capture
+margin over the strongest of them. Log-normal shadowing is drawn in
+exact pairs, with random.gauss's own formula, so a frame takes just the
+normals it needs and the stream matches gauss bit for bit. A frame
+carries only its RSSI per receiver; a ReceptionRecord is built for a
+candidate that decodes, or for every candidate when the scenario asks
+for report.json. The summary's figures are folded into the report as
+each candidate is judged.
 
 Each directed pair's Link is built by one _Channel, which computes the
 pair's position-free parts (overrides, link budget, the receiver's
@@ -26,17 +28,12 @@ reused.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import heapq
-import json
 import random
-from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from json.encoder import encode_basestring_ascii
 from math import cos, log, pi, sin, sqrt
-from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .geo import LatLonAlt, node_distance_m
 from .mesh import (
@@ -56,6 +53,13 @@ from .phy import (
     sensitivity_dbm,
     time_on_air_s,
 )
+from .report import (
+    GatewayDelivery,
+    LinkSums,
+    ReceptionOutcome,
+    ReceptionRecord,
+    SimReport,
+)
 from .scenarios import (
     NS_PER_S,
     EnvBand,
@@ -70,12 +74,7 @@ from . import telemetry
 __all__ = [
     "Event",
     "EventKind",
-    "GatewayDelivery",
     "Link",
-    "LinkSums",
-    "ReceptionOutcome",
-    "ReceptionRecord",
-    "SimReport",
     "derive_seed",
     "judge",
     "link_overrides",
@@ -89,13 +88,6 @@ def derive_seed(master: int, *tags: object) -> int:
     text = ":".join([str(master), *map(str, tags)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-class ReceptionOutcome(Enum):
-    DECODED = "DECODED"
-    BELOW_SENSITIVITY = "BELOW_SENSITIVITY"
-    COLLIDED = "COLLIDED"
-    TX_BUSY = "TX_BUSY"
 
 
 # Reading a member off an Enum class runs Python code (over 100 ns on
@@ -138,10 +130,6 @@ class Event(NamedTuple):
     packet: MeshPacket | None = None
     data: Any = None
 
-    @property
-    def time_s(self) -> float:
-        return self.time_ns / NS_PER_S
-
 
 def link_overrides(links: Iterable[LinkOverride]) -> dict[tuple[str, str], LinkOverride]:
     """Channel overrides by (transmitter, receiver).
@@ -157,217 +145,6 @@ def link_overrides(links: Iterable[LinkOverride]) -> dict[tuple[str, str], LinkO
         if ov.directed:
             table[(ov.a, ov.b)] = ov
     return table
-
-
-@dataclass(slots=True)
-class ReceptionRecord:
-    """One transmitter-receiver candidate for one frame."""
-
-    time_s: float
-    transmitter: str
-    receiver: str
-    origin: str
-    packet_id: int
-    port: str
-    hop_limit: int
-    rssi_dbm: float
-    snr_db: float
-    distance_m: float
-    outcome: ReceptionOutcome
-    tx_position: LatLonAlt
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "time_s": round(self.time_s, 6),
-            "transmitter": self.transmitter,
-            "receiver": self.receiver,
-            "origin": self.origin,
-            "packet_id": self.packet_id,
-            "port": self.port,
-            "hop_limit": self.hop_limit,
-            "rssi_dbm": round(self.rssi_dbm, 6),
-            "snr_db": round(self.snr_db, 6),
-            "distance_m": round(self.distance_m, 6),
-            "outcome": self.outcome.value,
-            "tx_latitude": round(self.tx_position.latitude, 7),
-            "tx_longitude": round(self.tx_position.longitude, 7),
-            "tx_altitude_m": round(self.tx_position.altitude_m, 3),
-        }
-
-
-# ReceptionRecord.to_dict as json.dumps(indent=2, sort_keys=True) prints it
-# inside the "receptions" list. A float field may hold an int (an altitude
-# given as 100): repr(round(v, k)) prints both as json does. Strings are
-# escaped as json's default ensure_ascii does.
-def _row_json(r: ReceptionRecord, quote: Callable[[str], str], position: str) -> str:
-    return (
-        "    {\n"
-        f'      "distance_m": {round(r.distance_m, 6)!r},\n'
-        f'      "hop_limit": {r.hop_limit!r},\n'
-        f'      "origin": {quote(r.origin)},\n'
-        f'      "outcome": {quote(r.outcome.value)},\n'
-        f'      "packet_id": {r.packet_id!r},\n'
-        f'      "port": {quote(r.port)},\n'
-        f'      "receiver": {quote(r.receiver)},\n'
-        f'      "rssi_dbm": {round(r.rssi_dbm, 6)!r},\n'
-        f'      "snr_db": {round(r.snr_db, 6)!r},\n'
-        f'      "time_s": {round(r.time_s, 6)!r},\n'
-        f'      "transmitter": {quote(r.transmitter)},\n'
-        f"{position}"
-    )
-
-
-def _position_json(p: LatLonAlt) -> str:
-    """The last three lines of a row, which depend on tx_position alone."""
-    return (
-        f'      "tx_altitude_m": {round(p.altitude_m, 3)!r},\n'
-        f'      "tx_latitude": {round(p.latitude, 7)!r},\n'
-        f'      "tx_longitude": {round(p.longitude, 7)!r}\n'
-        "    }"
-    )
-
-
-class GatewayDelivery(NamedTuple):
-    """A packet that reached a gateway's application layer."""
-
-    time_s: float
-    gateway_id: str
-    packet: MeshPacket
-    rx: RxMetadata
-
-
-@dataclass(slots=True)
-class LinkSums:
-    """Decoded frames on one directed link, their RSSI and SNR added in judge order.
-
-    The sums start at 0.0 and add left to right, as phy.serial_sum does.
-    """
-
-    frames: int = 0
-    rssi_dbm: float = 0.0
-    snr_db: float = 0.0
-
-
-@dataclass
-class SimReport:
-    """What a run produced.
-
-    The engine folds the summary's figures in as it judges each
-    candidate: the outcome counts, link_sums, delivered_to_gateway and
-    the hop histogram. The lists are filled only for the outputs that
-    read them, so a run without those outputs keeps them empty and its
-    memory does not grow with its length: receptions holds every
-    candidate when "report" is an output; gateway_receptions the
-    candidates a GATEWAY decoded, in judge order, when "map_csv" or
-    "map_kml" is; gateway_deliveries each packet a gateway uplinked when
-    "uplinks" or "series" is.
-    """
-
-    scenario_name: str
-    seed: int
-    duration_s: float
-    receptions: list[ReceptionRecord] = field(default_factory=list)
-    gateway_receptions: list[ReceptionRecord] = field(default_factory=list)
-    transmissions: int = 0
-    decoded: int = 0
-    collided: int = 0
-    below_sensitivity: int = 0
-    tx_busy: int = 0
-    link_sums: dict[str, LinkSums] = field(default_factory=dict)
-    duplicates_suppressed: int = 0
-    originated: Counter = field(default_factory=Counter)
-    delivered_to_gateway: Counter = field(default_factory=Counter)
-    app_deliveries: Counter = field(default_factory=Counter)
-    hop_count_histogram: Counter = field(default_factory=Counter)
-    airtime_busy_fraction: dict[str, float] = field(default_factory=dict)
-    gateway_deliveries: list[GatewayDelivery] = field(default_factory=list)
-    trace: list[str] | None = None
-
-    def outcome_counts(self) -> Counter:
-        return Counter({
-            ReceptionOutcome.DECODED: self.decoded,
-            ReceptionOutcome.BELOW_SENSITIVITY: self.below_sensitivity,
-            ReceptionOutcome.COLLIDED: self.collided,
-            ReceptionOutcome.TX_BUSY: self.tx_busy,
-        })
-
-    def link_stats(self) -> dict[str, dict[str, float]]:
-        """Mean decoded RSSI/SNR per directed transmitter->receiver pair."""
-        return {
-            key: {
-                "frames": s.frames,
-                "mean_rssi_dbm": round(s.rssi_dbm / s.frames, 6),
-                "mean_snr_db": round(s.snr_db / s.frames, 6),
-            }
-            for key, s in sorted(self.link_sums.items())
-        }
-
-    def pdr(self) -> dict[str, float]:
-        return {
-            origin: round(self.delivered_to_gateway.get(origin, 0) / count, 6)
-            for origin, count in sorted(self.originated.items())
-            if count > 0
-        }
-
-    def summary_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario_name,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "counts": {
-                "transmissions": self.transmissions,
-                "decoded": self.decoded,
-                "collided": self.collided,
-                "below_sensitivity": self.below_sensitivity,
-                # Always 0: sensitivity is already the noise floor plus the SNR floor.
-                "below_snr_floor": 0,
-                "tx_busy": self.tx_busy,
-                "duplicates_suppressed": self.duplicates_suppressed,
-            },
-            "originated": dict(sorted(self.originated.items())),
-            "delivered_to_gateway": dict(sorted(self.delivered_to_gateway.items())),
-            "pdr": self.pdr(),
-            "app_deliveries": dict(sorted(self.app_deliveries.items())),
-            "hop_count_histogram": {
-                str(k): v for k, v in sorted(self.hop_count_histogram.items())
-            },
-            "airtime_busy_fraction": {
-                node: round(fraction, 9)
-                for node, fraction in sorted(self.airtime_busy_fraction.items())
-            },
-            "links": self.link_stats(),
-        }
-
-    def to_dict(self) -> dict[str, Any]:
-        out = self.summary_dict()
-        out["receptions"] = [r.to_dict() for r in self.receptions]
-        return out
-
-    def write_json(self, handle: TextIO, summary: dict[str, Any]) -> None:
-        """Write json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\\n".
-
-        summary is self.summary_dict(); it still goes through json.dumps.
-        The rows are streamed from a template instead, so no row dict and
-        no whole document is ever built.
-        """
-        # Only a top-level key sits on a line indented by two spaces.
-        head, _, tail = json.dumps(
-            {**summary, "receptions": None}, indent=2, sort_keys=True
-        ).partition('\n  "receptions": null')
-        handle.write(head + '\n  "receptions": [')
-        quote = functools.cache(encode_basestring_ascii)  # few distinct strings
-        # By identity: equal positions such as 0.0 and -0.0, or 100 and
-        # 100.0, print differently. The records keep every key alive.
-        positions: dict[int, str] = {}
-        sep = "\n"
-        for r in self.receptions:
-            p = r.tx_position
-            position = positions.get(id(p))
-            if position is None:
-                position = positions[id(p)] = _position_json(p)
-            handle.write(sep + _row_json(r, quote, position))
-            sep = ",\n"
-        handle.write(("\n  ]" if self.receptions else "]") + tail + "\n")
 
 
 def env_for_distance(bands: Sequence[EnvBand], distance_m: float) -> EnvironmentClass:
@@ -864,7 +641,7 @@ class _Simulation:
                 self.report.delivered_to_gateway[packet.origin] += 1
                 if self.gateway_deliveries is not None:
                     self.gateway_deliveries.append(
-                        GatewayDelivery(meta.time_s, cand.receiver, packet, meta)
+                        GatewayDelivery(cand.receiver, packet, meta)
                     )
             elif kind is _SCHEDULE_REBROADCAST:
                 fire_ns = now_ns + round(action.delay_s * NS_PER_S)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Iterable
 
-from .engine import GatewayDelivery, ReceptionRecord, SimReport
 from .geo import geo_to_local
 from .mesh import NodeRole, Port
+from .report import GatewayDelivery, ReceptionRecord, SimReport
 from .scenarios import NS_PER_S, Scenario
 from .telemetry import CodecError, decode_irradiance, decode_position
 from .phy import round_half_away_from_zero, snr_raw_decode, snr_raw_encode
@@ -114,7 +114,6 @@ def uplink_from_delivery(
     delivery: GatewayDelivery,
     region: str = "US",
     epoch_s: int = 0,
-    channel: str = "LongFast",
 ) -> UplinkMessage:
     """Build the JSON uplink for a packet the gateway delivered upstream.
 
@@ -133,9 +132,9 @@ def uplink_from_delivery(
         "port": port,
         "rssi": int(round_half_away_from_zero(delivery.rx.rssi_dbm)),
         "snr": snr_raw_decode(snr_raw_encode(delivery.rx.snr_db)),
-        "timestamp": epoch_s + int(delivery.time_s),
+        "timestamp": epoch_s + int(delivery.rx.time_s),
     }
-    topic = f"msh/{region}/2/json/{channel}/{delivery.gateway_id}"
+    topic = f"msh/{region}/2/json/LongFast/{delivery.gateway_id}"
     return UplinkMessage(gateway_id=delivery.gateway_id, topic=topic, body=body)
 
 

@@ -178,11 +178,6 @@ def default_slot_time_s(cfg: RadioConfig) -> float:
     return math.ceil(8.5 * symbol_time_s(cfg) * 1000.0) / 1000.0
 
 
-def should_rebroadcast(hop_limit: int) -> bool:
-    """Every role refloods while the hop budget lasts."""
-    return hop_limit > 0
-
-
 def backoff_delay_s(
     snr_db: float,
     role: NodeRole,
@@ -214,7 +209,6 @@ class RouterState:
         first_packet_id: int = 0,
         contention: ContentionParams | None = None,
         slot_time_s: float | None = None,
-        dedup: DedupCache | None = None,
     ):
         self.node_id = node_id
         self.role = role
@@ -223,7 +217,7 @@ class RouterState:
         self.slot_time_s = (
             slot_time_s if slot_time_s is not None else default_slot_time_s(RadioConfig())
         )
-        self.dedup = dedup if dedup is not None else DedupCache()
+        self.dedup = DedupCache()
         self._next_id = first_packet_id % PACKET_ID_MODULUS
 
     def next_packet_id(self) -> int:
@@ -266,7 +260,7 @@ class RouterState:
         actions = [Action(_DELIVER_TO_APP, packet)]
         if self.role is _GATEWAY:
             actions.append(Action(_EMIT_UPLINK, packet))
-        if should_rebroadcast(packet.hop_limit):
+        if packet.hop_limit > 0:  # every role refloods while the hop budget lasts
             delay = backoff_delay_s(
                 rx.snr_db, self.role, self.rng, self.contention, self.slot_time_s
             )

@@ -175,8 +175,8 @@ def reference_loss_1m_db(frequency_hz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * 1.0 * frequency_hz / SPEED_OF_LIGHT_M_S)
 
 
-def path_loss_db(distance_m: float, env: EnvironmentClass, shadow_db: float = 0.0) -> float:
-    """Log-distance path loss with an additive shadowing term.
+def path_loss_db(distance_m: float, env: EnvironmentClass) -> float:
+    """Mean log-distance path loss; the caller adds any shadowing.
 
     Distances shorter than the 1 m reference are clamped to 1 m; that
     only happens for co-located radios, which the model cannot separate.
@@ -187,11 +187,7 @@ def path_loss_db(distance_m: float, env: EnvironmentClass, shadow_db: float = 0.
             distance_m,
         )
         distance_m = 1.0
-    return (
-        env.reference_loss_db
-        + 10.0 * env.path_loss_exponent * math.log10(distance_m)
-        + shadow_db
-    )
+    return env.reference_loss_db + 10.0 * env.path_loss_exponent * math.log10(distance_m)
 
 
 def link_budget_dbm(tx: RadioConfig, rx: RadioConfig) -> float:
@@ -257,10 +253,12 @@ def calibrate_exponent(
     Range-valued measurements should be collapsed to their midpoint by
     the caller before fitting.
     """
-    budget = cfg.tx_power_dbm + cfg.antenna_gain_tx_dbi + cfg.antenna_gain_rx_dbi
+    budget = link_budget_dbm(cfg, cfg)
     xs: list[float] = []
     ys: list[float] = []
     for distance_m, rssi_dbm in measurements:
+        if not (math.isfinite(distance_m) and math.isfinite(rssi_dbm)):
+            raise ValueError(f"measurement ({distance_m} m, {rssi_dbm} dBm) is not finite")
         if distance_m < 1.0:
             raise ValueError(f"measurement distance {distance_m} m below 1 m reference")
         xs.append(10.0 * math.log10(distance_m))

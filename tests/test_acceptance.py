@@ -27,6 +27,7 @@ from meshsim.phy import (
     snr_raw_encode,
     time_on_air_s,
 )
+from meshsim.report import ReceptionOutcome
 from meshsim.scenarios import (
     BUILTIN_SCENARIOS,
     campus_scenario,
@@ -149,7 +150,7 @@ def test_03_summit_link_reproduction():
         and r.receiver == "gateway"
         and r.distance_m > 2400.0
     ]
-    decoded = [r for r in summit if r.outcome is engine.ReceptionOutcome.DECODED]
+    decoded = [r for r in summit if r.outcome is ReceptionOutcome.DECODED]
     ratio = len(decoded) / len(summit) if summit else 0.0
     mean_rssi = sum(r.rssi_dbm for r in decoded) / len(decoded) if decoded else 0.0
     mean_snr = sum(r.snr_db for r in decoded) / len(decoded) if decoded else -99.0
@@ -230,7 +231,7 @@ def test_06_hop_budget_boundary():
     node4_decoded = [
         r
         for r in report.receptions
-        if r.receiver == "node4" and r.outcome is engine.ReceptionOutcome.DECODED
+        if r.receiver == "node4" and r.outcome is ReceptionOutcome.DECODED
     ]
     ok = (
         report.transmissions == tx_expected == 3

@@ -14,6 +14,7 @@ import pytest
 import meshsim
 from meshsim import engine
 from meshsim.cli import main, write_outputs
+from meshsim.report import SimReport
 from meshsim.scenarios import MAX_EMISSIONS, campus_scenario, k4_scenario, line_scenario
 
 
@@ -407,6 +408,24 @@ def test_calibrate_bad_row(tmp_path, capsys):
     assert "bad calibration row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "distance_m,rssi_dbm\n100,nan\n200,-90\n",
+        "distance_m,rssi_dbm\ninf,-80\n200,-90\n",
+        "distance_m,rssi_min,rssi_max\n100,-90,nan\n200,-95,-85\n",
+    ],
+    ids=["nan-rssi", "inf-distance", "nan-rssi-max"],
+)
+def test_calibrate_non_finite_is_usage_error(tmp_path, capsys, text):
+    csv_path = tmp_path / "non_finite.csv"
+    csv_path.write_text(text)
+    assert run_cli("--calibrate", str(csv_path)) == 2
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err
+    assert captured.out == ""
+
+
 # --- the streaming gateway writer ------------------------------------------------
 
 
@@ -443,3 +462,13 @@ def test_gateway_without_deliveries_writes_empty_streams(tmp_path):
     assert [p.name for p in written] == ["summary.json", "uplinks.ndjson", "series.lp"]
     assert (tmp_path / "uplinks.ndjson").read_bytes() == b""
     assert (tmp_path / "series.lp").read_bytes() == b"\n"
+
+
+def test_trace_without_events_writes_one_newline(tmp_path):
+    scenario = k4_scenario().replace(outputs=frozenset({"summary", "trace"}))
+    idle = SimReport(scenario_name="k4", seed=1, duration_s=60.0, trace=[])
+    uncollected = engine.run(scenario)  # collect_trace is off by default
+    assert uncollected.trace is None
+    for name, report in (("idle", idle), ("uncollected", uncollected)):
+        write_outputs(report, scenario, tmp_path / name)
+        assert (tmp_path / name / "trace.log").read_bytes() == b"\n"

@@ -12,7 +12,6 @@ import pytest
 from conftest import parse_line_protocol
 
 from meshsim import engine
-from meshsim.engine import GatewayDelivery
 from meshsim.gateway import (
     SeriesRecord,
     classify_rssi,
@@ -23,6 +22,7 @@ from meshsim.gateway import (
     uplink_to_series,
 )
 from meshsim.mesh import MeshPacket, Port, RxMetadata
+from meshsim.report import GatewayDelivery
 from meshsim.scenarios import k4_scenario, line_scenario
 from meshsim.telemetry import IrradianceSample, encode_irradiance, encode_position
 
@@ -32,7 +32,6 @@ def delivery_for(port, payload, time_s=12.5, rssi=-96.4, snr=3.1):
         origin="node1", packet_id=77, port=port, hop_limit=1, payload=payload
     )
     return GatewayDelivery(
-        time_s=time_s,
         gateway_id="node4",
         packet=packet,
         rx=RxMetadata(time_s=time_s, rssi_dbm=rssi, snr_db=snr),

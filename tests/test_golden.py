@@ -148,10 +148,9 @@ def _crowded_grid() -> Scenario:
 def test_crowded_grid_report_matches_golden():
     sc = _crowded_grid()
     report = engine.run(sc.replace(outputs=sc.outputs | {"report"}))
-    counts = report.outcome_counts()
     # The grid is here for the busy and collision paths; keep it crowded.
-    assert counts[engine.ReceptionOutcome.TX_BUSY] > 1000
-    assert counts[engine.ReceptionOutcome.COLLIDED] > 1000
+    assert report.tx_busy > 1000
+    assert report.collided > 1000
     digest = _sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
     assert digest == CROWDED_GRID_REPORT
 

@@ -19,7 +19,6 @@ from meshsim.mesh import (
     RxMetadata,
     backoff_delay_s,
     default_slot_time_s,
-    should_rebroadcast,
 )
 from meshsim.phy import RadioConfig
 
@@ -183,9 +182,7 @@ def test_duplicate_matches_on_origin_and_id_only():
     ]
 
 
-def test_should_rebroadcast_all_roles():
-    assert should_rebroadcast(1)
-    assert not should_rebroadcast(0)
+def test_every_role_rebroadcasts_while_hops_remain():
     # Every role floods on the same hop budget rule.
     for role in NodeRole:
         for hop_limit, floods in ((1, True), (0, False)):

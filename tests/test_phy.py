@@ -156,9 +156,6 @@ def test_path_loss_log_distance():
     )
     expected = 31.676 + 10 * 3.5 * math.log10(2050.0)
     assert path_loss_db(2050.0, env) == pytest.approx(expected, abs=1e-9)
-    assert path_loss_db(100.0, env, shadow_db=4.0) == pytest.approx(
-        31.676 + 35 * 2.0 + 4.0, abs=1e-9
-    )
 
 
 def test_path_loss_clamps_below_reference(caplog):
@@ -269,6 +266,9 @@ def test_calibrate_rejects_bad_input():
         calibrate_exponent([(0.5, -40.0)], cfg, reference)
     with pytest.raises(InsufficientDataError):
         calibrate_exponent([(1.0, -31.7)], cfg, reference)
+    for bad in ((100.0, math.nan), (math.inf, -80.0), (math.nan, -80.0), (100.0, -math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            calibrate_exponent([bad, (200.0, -90.0)], cfg, reference)
 
 
 @settings(max_examples=50)

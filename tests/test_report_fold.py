@@ -16,6 +16,7 @@ from test_golden import _crowded_grid
 
 from meshsim import engine
 from meshsim.cli import write_outputs
+from meshsim.report import ReceptionOutcome
 from meshsim.scenarios import BUILTIN_SCENARIOS, GATEWAY_OUTPUTS, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,11 +27,11 @@ FILES = ("summary.json", "map.csv", "map.kml", "uplinks.ndjson", "series.lp")
 
 
 def _recount(records):
-    counts = {outcome: 0 for outcome in engine.ReceptionOutcome}
+    counts = {outcome: 0 for outcome in ReceptionOutcome}
     sums: dict[str, list] = {}
     for r in records:
         counts[r.outcome] += 1
-        if r.outcome is engine.ReceptionOutcome.DECODED:
+        if r.outcome is ReceptionOutcome.DECODED:
             acc = sums.setdefault(f"{r.transmitter}->{r.receiver}", [0, 0.0, 0.0])
             acc[0] += 1
             acc[1] += r.rssi_dbm

@@ -3,9 +3,9 @@
 The expected document is built here from the documented rules of a
 reception row (times, powers and distances rounded to 6 places,
 latitude and longitude to 7, altitude to 3; strings and ints as they
-are), not from ReceptionRecord.to_dict, and dumped with
-json.dumps(indent=2, sort_keys=True). Both the writer and to_dict must
-give exactly those bytes.
+are), not from the writer's row template, and dumped with
+json.dumps(indent=2, sort_keys=True). The writer must give exactly those
+bytes, and to_dict, which parses them back, the same document.
 """
 
 import io
@@ -14,7 +14,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsim.engine import ReceptionOutcome, ReceptionRecord, SimReport
+from meshsim.report import ReceptionOutcome, ReceptionRecord, SimReport
 from meshsim.geo import LatLonAlt
 from meshsim.mesh import Port
 
