@@ -43,6 +43,7 @@ from .mesh import (
     RouterState,
     RxMetadata,
     default_slot_time_s,
+    first_hop_limit,
 )
 from .phy import (
     EnvironmentClass,
@@ -234,8 +235,6 @@ def propagate(links: Sequence[Link], drawn: int, normals: _Normals) -> list[floa
     and collisions are judged at the frame's end, against the receiving
     radio and every frame it overlapped.
     """
-    if not drawn:
-        return [budget - (mean_loss + shadow) for _, mean_loss, shadow, _, budget, _, _ in links]
     z = iter(normals.take(drawn)).__next__
     # Same terms in the same order as path_loss_db and link_budget_dbm, with
     # a draw scaled as gauss's mu + z * sigma.
@@ -634,8 +633,7 @@ class _Simulation:
                 self.report.duplicates_suppressed += 1
             elif kind is _DELIVER_TO_APP:
                 self.report.app_deliveries[cand.receiver] += 1
-                # The hop limit the origin's RouterState.originate sent it with.
-                initial = max(self.nodes[packet.origin].radio.hop_limit - 1, 0)
+                initial = first_hop_limit(self.nodes[packet.origin].radio.hop_limit)
                 self.report.hop_count_histogram[initial - packet.hop_limit + 1] += 1
             elif kind is _EMIT_UPLINK:
                 self.report.delivered_to_gateway[packet.origin] += 1

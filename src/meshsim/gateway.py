@@ -9,8 +9,10 @@ fixed float precision) so equal inputs produce byte-equal output.
 The uplink and series writers work one delivery at a time: a caller turns
 each delivery into one UplinkMessage, then into its JSON line and its
 line-protocol points, and writes them before taking the next, so nothing
-is held across deliveries. The fixed work is done once: one JSON encoder
-serves every uplink, and line-protocol names, which repeat a few ids, are
+is held across deliveries. The map writers stream too: each writes its
+rows into the handle it is given, one row per write, so neither map is
+ever held whole. The fixed work is done once: one JSON encoder serves
+every uplink, and line-protocol names, which repeat a few ids, are
 escaped once and cached.
 """
 
@@ -21,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterable
+from typing import Any, Iterable, TextIO
 
 from .geo import geo_to_local
 from .mesh import NodeRole, Port
@@ -264,25 +266,26 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def reception_map_csv(report: SimReport, scenario: Scenario) -> str:
-    """Coverage map of frames decoded at gateways, x/y in gateway-local
-    meters. Header-only when nothing was received.
+def reception_map_csv(report: SimReport, scenario: Scenario, handle: TextIO) -> None:
+    """Write the coverage map of frames decoded at gateways to handle, x/y
+    in gateway-local meters, one row per write. Header only when nothing
+    was received.
     """
     gateways = {
         spec.id: spec.position
         for spec in scenario.nodes
         if spec.role is NodeRole.GATEWAY
     }
-    lines = [_MAP_COLUMNS]
+    write = handle.write
+    write(_MAP_COLUMNS + "\n")
     for rec in _gateway_rows(report):
         x_m, y_m = geo_to_local(rec.tx_position, gateways[rec.receiver])
         rssi = rec.rssi_dbm
-        lines.append(
+        write(
             f"{rec.time_s:.6f},{_csv_field(rec.transmitter)},{x_m:.3f},{y_m:.3f},"
             f"{rec.distance_m:.3f},{rssi:.3f},{rec.snr_db:.3f},"
-            f"{classify_rssi(rssi)},{rec.port}"
+            f"{classify_rssi(rssi)},{rec.port}\n"
         )
-    return "\n".join(lines) + "\n"
 
 
 def _xml_text(text: str) -> str:
@@ -292,22 +295,25 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def reception_map_kml(report: SimReport, scenario: Scenario) -> str:
-    """Same coverage rows as the CSV, as a KML layer colored by bucket."""
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<kml xmlns="http://www.opengis.net/kml/2.2">',
-        "<Document>",
-        f"<name>{_xml_text(scenario.name)} coverage</name>",
-    ]
+def reception_map_kml(report: SimReport, scenario: Scenario, handle: TextIO) -> None:
+    """Write the same coverage rows as the CSV to handle, as a KML layer
+    colored by bucket, one placemark per write.
+    """
+    write = handle.write
+    write(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<kml xmlns="http://www.opengis.net/kml/2.2">\n'
+        "<Document>\n"
+        f"<name>{_xml_text(scenario.name)} coverage</name>\n"
+    )
     for bucket, color in _KML_COLORS.items():
-        out.append(
+        write(
             f'<Style id="{bucket}"><IconStyle><color>{color}</color>'
-            "</IconStyle></Style>"
+            "</IconStyle></Style>\n"
         )
     for rec in _gateway_rows(report):
         pos = rec.tx_position
-        out.append(
+        write(
             "<Placemark>"
             f"<name>{_xml_text(rec.transmitter)} t={rec.time_s:.1f}s</name>"
             f"<description>rssi={rec.rssi_dbm:.1f} dBm "
@@ -315,8 +321,6 @@ def reception_map_kml(report: SimReport, scenario: Scenario) -> str:
             f"<styleUrl>#{classify_rssi(rec.rssi_dbm)}</styleUrl>"
             f"<Point><coordinates>{pos.longitude:.7f},{pos.latitude:.7f},"
             f"{pos.altitude_m:.1f}</coordinates></Point>"
-            "</Placemark>"
+            "</Placemark>\n"
         )
-    out.append("</Document>")
-    out.append("</kml>")
-    return "\n".join(out) + "\n"
+    write("</Document>\n</kml>\n")

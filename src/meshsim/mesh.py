@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .phy import RadioConfig, round_half_away_from_zero, symbol_time_s
+from .phy import MAX_HOP_LIMIT, RadioConfig, round_half_away_from_zero, symbol_time_s
 
 MAX_PAYLOAD_BYTES = 237
-MAX_HOP_LIMIT = 7
 
 DEDUP_TTL_S = 600.0
 DEDUP_CAPACITY = 1024
@@ -178,6 +177,13 @@ def default_slot_time_s(cfg: RadioConfig) -> float:
     return math.ceil(8.5 * symbol_time_s(cfg) * 1000.0) / 1000.0
 
 
+def first_hop_limit(hop_limit: int) -> int:
+    """The hop limit a packet leaves its origin with: the original
+    transmission spends one hop of the radio's hop_limit.
+    """
+    return max(hop_limit - 1, 0)
+
+
 def backoff_delay_s(
     snr_db: float,
     role: NodeRole,
@@ -239,7 +245,7 @@ class RouterState:
             origin=self.node_id,
             packet_id=self.next_packet_id(),
             port=port,
-            hop_limit=max(hop_limit - 1, 0),
+            hop_limit=first_hop_limit(hop_limit),
             payload=payload,
         )
         self.dedup.insert((packet.origin, packet.packet_id), now_s)

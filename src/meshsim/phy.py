@@ -38,6 +38,8 @@ SNR_RAW_STEP_DB = 0.25
 MIN_PAYLOAD_BYTES = 1
 MAX_PAYLOAD_BYTES = 255
 
+MAX_HOP_LIMIT = 7
+
 MIN_PATH_LOSS_EXPONENT = 2.0  # never better than free space
 
 
@@ -76,8 +78,8 @@ class RadioConfig:
             problems.append(f"spreading_factor {self.spreading_factor} outside 7..12")
         if not 1 <= self.coding_rate <= 4:
             problems.append(f"coding_rate {self.coding_rate} outside 1..4")
-        if not 0 <= self.hop_limit <= 7:
-            problems.append(f"hop_limit {self.hop_limit} outside 0..7")
+        if not 0 <= self.hop_limit <= MAX_HOP_LIMIT:
+            problems.append(f"hop_limit {self.hop_limit} outside 0..{MAX_HOP_LIMIT}")
         if self.bandwidth_hz <= 0:
             problems.append(f"bandwidth_hz {self.bandwidth_hz} must be positive")
         if self.frequency_hz <= 0:

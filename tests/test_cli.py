@@ -453,6 +453,15 @@ def test_uplink_and_series_memory_does_not_grow_with_deliveries(tmp_path):
     assert len(lines) == day[0]
 
 
+def test_map_memory_stays_below_the_maps_size(tmp_path):
+    # The maps stream row by row: writing them holds far less than their text.
+    kinds = frozenset({"summary", "map_csv", "map_kml"})
+    day = campus_scenario().replace(duration_s=24 * 3600.0, outputs=kinds)
+    _, peak = _write_peak_bytes(day, tmp_path)
+    size = sum((tmp_path / name).stat().st_size for name in ("map.csv", "map.kml"))
+    assert peak < size / 2
+
+
 def test_gateway_without_deliveries_writes_empty_streams(tmp_path):
     # The flood's hop budget runs out before the gateway at the end of the line.
     scenario = line_scenario(count=5).replace(outputs=frozenset({"summary", "uplinks", "series"}))

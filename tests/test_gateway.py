@@ -291,10 +291,17 @@ def test_bucket_boundaries():
 # --- map exports --------------------------------------------------------------------
 
 
+def _written(writer, report, sc):
+    """What a map writer writes for report, as one string."""
+    handle = io.StringIO()
+    writer(report, sc, handle)
+    return handle.getvalue()
+
+
 def test_map_csv_from_k4():
     sc = k4_scenario()
     report = engine.run(sc)
-    csv_text = reception_map_csv(report, sc)
+    csv_text = _written(reception_map_csv, report, sc)
     lines = csv_text.splitlines()
     assert lines[0] == "time_s,node,x_m,y_m,distance_m,rssi_dbm,snr_db,bucket,port"
     assert len(lines) > 1
@@ -312,7 +319,7 @@ def test_map_csv_empty_is_header_only():
     sc = line_scenario(count=5)
     # Budget exhausts before the gateway: header only.
     report = engine.run(sc)
-    assert reception_map_csv(report, sc) == (
+    assert _written(reception_map_csv, report, sc) == (
         "time_s,node,x_m,y_m,distance_m,rssi_dbm,snr_db,bucket,port\n"
     )
 
@@ -320,9 +327,10 @@ def test_map_csv_empty_is_header_only():
 def test_map_kml_structure():
     sc = k4_scenario()
     report = engine.run(sc)
-    kml = reception_map_kml(report, sc)
+    kml = _written(reception_map_kml, report, sc)
     assert kml.startswith('<?xml version="1.0" encoding="UTF-8"?>')
-    assert kml.count("<Placemark>") == len(reception_map_csv(report, sc).splitlines()) - 1
+    rows = _written(reception_map_csv, report, sc).splitlines()
+    assert kml.count("<Placemark>") == len(rows) - 1
     for bucket in ("GREEN", "ORANGE", "RED"):
         assert f'<Style id="{bucket}">' in kml
     assert "</kml>" in kml
@@ -345,7 +353,7 @@ HOSTILE_IDS = ('a,b"c<&>', '"quoted"', "x>y")
 def test_map_csv_quotes_ids_as_the_csv_module_reads_them():
     sc = _k4_with_ids(*HOSTILE_IDS)
     report = engine.run(sc)
-    text = reception_map_csv(report, sc)
+    text = _written(reception_map_csv, report, sc)
     rows = list(csv.DictReader(io.StringIO(text, newline="")))
     assert len(rows) == len(report.gateway_receptions) > 0
     records = sorted(report.gateway_receptions, key=lambda r: (r.time_s, r.transmitter))
@@ -359,13 +367,13 @@ def test_map_csv_quotes_ids_as_the_csv_module_reads_them():
 
 def test_map_csv_leaves_plain_ids_unquoted():
     sc = k4_scenario()
-    assert '"' not in reception_map_csv(engine.run(sc), sc)
+    assert '"' not in _written(reception_map_csv, engine.run(sc), sc)
 
 
 def test_map_kml_escapes_ids_and_the_scenario_name():
     sc = _k4_with_ids(*HOSTILE_IDS)
     report = engine.run(sc)
-    root = ElementTree.fromstring(reception_map_kml(report, sc).encode("utf-8"))
+    root = ElementTree.fromstring(_written(reception_map_kml, report, sc).encode("utf-8"))
     ns = {"k": "http://www.opengis.net/kml/2.2"}
     assert root.find("k:Document/k:name", ns).text == "k4 <&> map coverage"
     names = [p.find("k:name", ns).text for p in root.iterfind("k:Document/k:Placemark", ns)]
