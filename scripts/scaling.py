@@ -16,7 +16,11 @@ A final line measures the writers: the built-in campus over 86400 s with
 every output kind, run once, then cli.write_outputs on that report three
 times for the median wall time and once more under tracemalloc for its
 peak above the heap the run left, with the delivery count and the bytes
-written.
+written. The last line follows the output that grows with frames x
+nodes: the 8x8 grid over 3600 s with summary and report.json, run and
+written once for the wall times, then once more under tracemalloc for
+the peak of run and write together, with the candidate count and the
+bytes written.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ DURATION_S = 300.0
 REPEATS = 3
 CUMBRE_SEEDS = range(7, 55)
 CAMPUS_DAY_S = 86400.0
+REPORT_GRID = (8, 3600.0)
 
 
 def measure(batch: list[scenarios.Scenario]) -> dict:
@@ -98,6 +103,35 @@ def measure_write(scenario: scenarios.Scenario) -> dict:
     }
 
 
+def measure_report(scenario: scenarios.Scenario) -> dict:
+    """Run and write_outputs once for their wall times, then both again
+    under tracemalloc for their peak."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        t0 = time.perf_counter()
+        report = engine.run(scenario)
+        t1 = time.perf_counter()
+        written = cli.write_outputs(report, scenario, out_dir)
+        t2 = time.perf_counter()
+        size = sum(path.stat().st_size for path in written)
+        del report
+        tracemalloc.start()
+        report = engine.run(scenario)
+        cli.write_outputs(report, scenario, out_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return {
+        "nodes": len(scenario.nodes),
+        "duration_s": scenario.duration_s,
+        "outputs": sorted(scenario.outputs),
+        "run_s": t1 - t0,
+        "write_s": t2 - t1,
+        "tracemalloc_peak_mb": peak / 2**20,
+        "candidates": len(report.receptions),
+        "bytes_written": size,
+    }
+
+
 def main() -> None:
     for side in SIDES:
         grid = scenarios.scenario_from_dict(grid_scenario(side, SEED, DURATION_S))
@@ -110,6 +144,9 @@ def main() -> None:
         duration_s=CAMPUS_DAY_S, outputs=scenarios.OUTPUT_KINDS
     )
     print(json.dumps(measure_write(campus)), flush=True)
+    side, duration_s = REPORT_GRID
+    grid = scenarios.scenario_from_dict(grid_scenario(side, SEED, duration_s))
+    print(json.dumps(measure_report(grid.replace(outputs=frozenset({"summary", "report"})))), flush=True)
 
 
 if __name__ == "__main__":

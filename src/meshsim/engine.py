@@ -12,10 +12,12 @@ was busy, and otherwise the frame survives only with a clear capture
 margin over the strongest of them. Log-normal shadowing is drawn in
 exact pairs, with random.gauss's own formula, so a frame takes just the
 normals it needs and the stream matches gauss bit for bit. A frame
-carries only its RSSI per receiver; a ReceptionRecord is built for a
-candidate that decodes, or for every candidate when the scenario asks
-for report.json. The summary's figures are folded into the report as
-each candidate is judged.
+carries only its RSSI per receiver, and a ReceptionRecord is built only
+for a candidate that decodes. When the scenario asks for report.json,
+each frame's end adds one header and each candidate its RSSI, outcome
+byte and distance to the report's ReceptionLog, which holds the rows.
+The summary's figures are folded into the report as each candidate is
+judged.
 
 Each directed pair's Link is built by one _Channel, which computes the
 pair's position-free parts (overrides, link budget, the receiver's
@@ -57,6 +59,8 @@ from .phy import (
 from .report import (
     GatewayDelivery,
     LinkSums,
+    ReceptionFrame,
+    ReceptionLog,
     ReceptionOutcome,
     ReceptionRecord,
     SimReport,
@@ -379,11 +383,10 @@ class _Simulation:
             duration_s=scenario.duration_s,
             trace=[] if collect_trace else None,
         )
-        # Only report.json reads every record, only the maps read the gateway
-        # receptions and only uplinks and series read the gateway deliveries;
-        # the summary is folded at TX_END.
+        # Only report.json reads every candidate, only the maps read the
+        # gateway receptions and only uplinks and series read the gateway
+        # deliveries; the summary is folded at TX_END.
         outputs = scenario.outputs
-        self.receptions = self.report.receptions if "report" in outputs else None
         self.gateway_receptions = (
             self.report.gateway_receptions if outputs & {"map_csv", "map_kml"} else None
         )
@@ -403,6 +406,11 @@ class _Simulation:
             )
             self.nodes[spec.id] = _NodeRuntime(
                 spec, radio, state, scenario.node_route(spec)
+            )
+        self.log: ReceptionLog | None = None
+        if "report" in outputs:
+            self.log = self.report.receptions = ReceptionLog(
+                {nid: noise_floor_dbm(rt.radio) for nid, rt in self.nodes.items()}
             )
         # One Link per directed pair, receivers in node order, built once. A
         # pair with a moving end and no pinned distance holds None; its channel
@@ -567,7 +575,7 @@ class _Simulation:
         frame: _AirFrame = event.data
         self.on_air.remove(frame)
         report = self.report
-        kept, gateway_receptions = self.receptions, self.gateway_receptions
+        gateway_receptions = self.gateway_receptions
         # Tallied by identity and added to the report once per frame:
         # Enum.__hash__ runs in Python, so counting by outcome as a key
         # would cost more per candidate than judging it.
@@ -578,6 +586,8 @@ class _Simulation:
         # started transmission is a frame, and a busy radio defers its start.
         senders = {g.transmitter for g in rivals}
         tx, packet = frame.transmitter, frame.packet
+        # Each candidate's outcome, when report.json logs the frame.
+        outcomes = [] if self.log is not None else None
         for (rx, rssi), (distance, _, _, _, _, noise, sensitivity) in zip(
             frame.rssi_at.items(), frame.links
         ):
@@ -596,27 +606,36 @@ class _Simulation:
                 n_tx_busy += 1
             elif outcome is _COLLIDED:
                 n_collided += 1
-            if outcome is not _DECODED and kept is None:
+            if outcomes is not None:
+                outcomes.append(outcome)
+            if outcome is not _DECODED:
                 continue
-            # Only a decode or report.json needs the whole record.
+            # Only a decode needs the whole record.
             record = ReceptionRecord(
                 frame.end_s, tx, rx, packet.origin, packet.packet_id, packet.port.value,
                 packet.hop_limit, rssi, rssi - noise, distance, outcome, frame.tx_position,
             )
-            if kept is not None:
-                kept.append(record)
-            if outcome is _DECODED:
-                n_decoded += 1
-                key = f"{tx}->{rx}"
-                sums = report.link_sums.get(key)
-                if sums is None:
-                    sums = report.link_sums[key] = LinkSums()
-                sums.frames += 1
-                sums.rssi_dbm += rssi
-                sums.snr_db += record.snr_db
-                if gateway_receptions is not None and rx in self.gateways:
-                    gateway_receptions.append(record)
-                self.deliver(record, packet, event.time_ns)
+            n_decoded += 1
+            key = f"{tx}->{rx}"
+            sums = report.link_sums.get(key)
+            if sums is None:
+                sums = report.link_sums[key] = LinkSums()
+            sums.frames += 1
+            sums.rssi_dbm += rssi
+            sums.snr_db += record.snr_db
+            if gateway_receptions is not None and rx in self.gateways:
+                gateway_receptions.append(record)
+            self.deliver(record, packet, event.time_ns)
+        if outcomes is not None:
+            self.log.add_frame(
+                ReceptionFrame(
+                    frame.end_s, tx, packet.origin, packet.packet_id, packet.port.value,
+                    packet.hop_limit, frame.tx_position, self.table[tx].receivers,
+                ),
+                frame.rssi_at.values(),
+                outcomes,
+                [link.distance_m for link in frame.links],
+            )
         report.decoded += n_decoded
         report.collided += n_collided
         report.tx_busy += n_tx_busy

@@ -2,11 +2,14 @@
 
 The engine fills one SimReport per run: the summary's figures, folded
 in as each candidate is judged, and the lists that only some outputs
-read. summary_dict() is summary.json's document. write_json streams
-report.json: the summary through json.dumps, then each reception row
-from one template, so no row dict and no whole document is built. That
-template is the only description of a row; to_dict() parses the
-written bytes back.
+read. summary_dict() is summary.json's document. report.json's rows
+are held in one ReceptionLog: a header per frame and, per candidate,
+only its RSSI, its outcome and its distance, so the engine builds a
+ReceptionRecord only for a decode. write_json streams report.json: the
+summary through json.dumps, then each reception row straight from the
+log through one template, so no row dict, no record and no whole
+document is built. That template is the only description of a row;
+to_dict() parses the written bytes back.
 """
 
 from __future__ import annotations
@@ -14,10 +17,15 @@ from __future__ import annotations
 import functools
 import io
 import json
+from array import array
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import index as as_index
 from typing import Any, Callable, NamedTuple, TextIO
 
 from .geo import LatLonAlt
@@ -26,6 +34,8 @@ from .mesh import MeshPacket, RxMetadata
 __all__ = [
     "GatewayDelivery",
     "LinkSums",
+    "ReceptionFrame",
+    "ReceptionLog",
     "ReceptionOutcome",
     "ReceptionRecord",
     "SimReport",
@@ -57,27 +67,152 @@ class ReceptionRecord:
     tx_position: LatLonAlt
 
 
-# One reception row as json.dumps(indent=2, sort_keys=True) prints it inside
-# the "receptions" list: times, powers and distances rounded to 6 places,
-# latitude and longitude to 7, altitude to 3. A float field may hold an int
-# (an altitude given as 100): repr(round(v, k)) prints both as json does.
-# Strings are escaped as json's default ensure_ascii does.
-def _row_json(r: ReceptionRecord, quote: Callable[[str], str], position: str) -> str:
-    return (
-        "    {\n"
-        f'      "distance_m": {round(r.distance_m, 6)!r},\n'
-        f'      "hop_limit": {r.hop_limit!r},\n'
-        f'      "origin": {quote(r.origin)},\n'
-        f'      "outcome": {quote(r.outcome.value)},\n'
-        f'      "packet_id": {r.packet_id!r},\n'
-        f'      "port": {quote(r.port)},\n'
-        f'      "receiver": {quote(r.receiver)},\n'
-        f'      "rssi_dbm": {round(r.rssi_dbm, 6)!r},\n'
-        f'      "snr_db": {round(r.snr_db, 6)!r},\n'
-        f'      "time_s": {round(r.time_s, 6)!r},\n'
-        f'      "transmitter": {quote(r.transmitter)},\n'
+# An outcome's byte in a ReceptionLog is its place in this tuple.
+_OUTCOMES = tuple(ReceptionOutcome)
+_OUTCOME_JSON = tuple(encode_basestring_ascii(o.value) for o in _OUTCOMES)
+
+
+class ReceptionFrame(NamedTuple):
+    """What every candidate of one frame shares; receivers is the sender's row."""
+
+    end_s: float
+    transmitter: str
+    origin: str
+    packet_id: int
+    port: str
+    hop_limit: int
+    tx_position: LatLonAlt
+    receivers: tuple[str, ...]
+
+
+class ReceptionLog(Sequence[ReceptionRecord]):
+    """Every candidate of a run in judge order, read as ReceptionRecords.
+
+    One ReceptionFrame per frame, then one candidate per receiver of
+    that frame, held in three columns: rssi_dbm (C doubles), outcomes
+    (one byte each, the outcome's place in ReceptionOutcome) and
+    distance_m (the Link's own object, so a distance pinned as 2470
+    still prints as 2470). starts holds each frame's first candidate. A
+    candidate's SNR is its RSSI minus the receiving node's noise floor,
+    the engine's own subtraction. add_frame is the only writer; the view
+    is read-only, and indexing, slicing and iterating build records.
+    """
+
+    __slots__ = ("noise_floor_dbm", "frames", "starts", "rssi_dbm", "outcomes", "distance_m")
+
+    def __init__(self, noise_floor_dbm: Mapping[str, float] | None = None):
+        self.noise_floor_dbm = noise_floor_dbm or {}
+        self.frames: list[ReceptionFrame] = []
+        self.starts = array("q")
+        self.rssi_dbm = array("d")
+        self.outcomes = bytearray()
+        self.distance_m: list[float] = []
+
+    def add_frame(
+        self,
+        frame: ReceptionFrame,
+        rssi_dbm: Iterable[float],
+        outcomes: Iterable[ReceptionOutcome],
+        distance_m: Iterable[float],
+    ) -> None:
+        """Log one frame and its candidates, one value per receiver in each."""
+        self.starts.append(len(self.rssi_dbm))
+        self.frames.append(frame)
+        self.rssi_dbm.extend(rssi_dbm)
+        # tuple.index finds a member by identity first, without Enum's hash.
+        self.outcomes.extend(map(_OUTCOMES.index, outcomes))
+        self.distance_m.extend(distance_m)
+
+    def _candidates(self, f: int) -> Iterator[tuple]:
+        """Frame f's candidates: (receiver, rssi, snr, distance, outcome byte)."""
+        frame, start = self.frames[f], self.starts[f]
+        end = start + len(frame.receivers)
+        powers, noise = self.rssi_dbm[start:end], self.noise_floor_dbm
+        return zip(
+            frame.receivers,
+            powers,
+            [p - noise[rx] for rx, p in zip(frame.receivers, powers)],
+            self.distance_m[start:end],
+            self.outcomes[start:end],
+        )
+
+    def by_frame(self) -> Iterator[tuple[ReceptionFrame, Iterator[tuple]]]:
+        """Each frame with its candidates, in judge order."""
+        for f, frame in enumerate(self.frames):
+            yield frame, self._candidates(f)
+
+    def __len__(self) -> int:
+        return len(self.rssi_dbm)
+
+    def __iter__(self) -> Iterator[ReceptionRecord]:
+        for frame, candidates in self.by_frame():
+            for candidate in candidates:
+                yield _record(frame, *candidate)
+
+    def __getitem__(self, i: int | slice) -> ReceptionRecord | list[ReceptionRecord]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = as_index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("reception index out of range")
+        f = bisect_right(self.starts, i) - 1
+        candidate = next(islice(self._candidates(f), i - self.starts[f], None))
+        return _record(self.frames[f], *candidate)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, ReceptionLog)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _record(
+    frame: ReceptionFrame, rx: str, rssi: float, snr: float, distance: float, outcome: int
+) -> ReceptionRecord:
+    return ReceptionRecord(
+        frame.end_s, frame.transmitter, rx, frame.origin, frame.packet_id, frame.port,
+        frame.hop_limit, rssi, snr, distance, _OUTCOMES[outcome], frame.tx_position,
+    )
+
+
+# One frame's reception rows as json.dumps(indent=2, sort_keys=True) prints
+# them inside the "receptions" list: times, powers and distances rounded to 6
+# places, latitude and longitude to 7, altitude to 3. A number field may hold
+# an int (an altitude or a distance given as 100): repr(round(v, k)) prints
+# both as json does. Strings are escaped as json's default ensure_ascii does.
+# The lines every row of the frame shares are formatted once.
+def _frame_rows(
+    frame: ReceptionFrame,
+    candidates: Iterator[tuple],
+    quote: Callable[[str], str],
+    position: str,
+) -> Iterator[str]:
+    hop_origin = (
+        f'      "hop_limit": {frame.hop_limit!r},\n'
+        f'      "origin": {quote(frame.origin)},\n'
+    )
+    packet_port = (
+        f'      "packet_id": {frame.packet_id!r},\n'
+        f'      "port": {quote(frame.port)},\n'
+    )
+    time_transmitter = (
+        f'      "time_s": {round(frame.end_s, 6)!r},\n'
+        f'      "transmitter": {quote(frame.transmitter)},\n'
         f"{position}"
     )
+    for rx, rssi, snr, distance, outcome in candidates:
+        yield (
+            "    {\n"
+            f'      "distance_m": {round(distance, 6)!r},\n'
+            f"{hop_origin}"
+            f'      "outcome": {_OUTCOME_JSON[outcome]},\n'
+            f"{packet_port}"
+            f'      "receiver": {quote(rx)},\n'
+            f'      "rssi_dbm": {round(rssi, 6)!r},\n'
+            f'      "snr_db": {round(snr, 6)!r},\n'
+            f"{time_transmitter}"
+        )
 
 
 def _position_json(p: LatLonAlt) -> str:
@@ -118,7 +253,7 @@ class SimReport:
     candidate: the outcome counts, link_sums, delivered_to_gateway and
     the hop histogram. The lists are filled only for the outputs that
     read them, so a run without those outputs keeps them empty and its
-    memory does not grow with its length: receptions holds every
+    memory does not grow with its length: receptions logs every
     candidate when "report" is an output; gateway_receptions the
     candidates a GATEWAY decoded, in judge order, when "map_csv" or
     "map_kml" is; gateway_deliveries each packet a gateway uplinked when
@@ -128,7 +263,7 @@ class SimReport:
     scenario_name: str
     seed: int
     duration_s: float
-    receptions: list[ReceptionRecord] = field(default_factory=list)
+    receptions: ReceptionLog = field(default_factory=ReceptionLog)
     gateway_receptions: list[ReceptionRecord] = field(default_factory=list)
     transmissions: int = 0
     decoded: int = 0
@@ -202,7 +337,7 @@ class SimReport:
         """Write report.json: summary plus the receptions, indent 2, keys sorted.
 
         summary is self.summary_dict(); it goes through json.dumps. The
-        rows are streamed from the row template, one at a time.
+        rows are streamed from the reception log, one at a time.
         """
         # Only a top-level key sits on a line indented by two spaces.
         head, _, tail = json.dumps(
@@ -211,14 +346,15 @@ class SimReport:
         handle.write(head + '\n  "receptions": [')
         quote = functools.cache(encode_basestring_ascii)  # few distinct strings
         # By identity: equal positions such as 0.0 and -0.0, or 100 and
-        # 100.0, print differently. The records keep every key alive.
+        # 100.0, print differently. The log keeps every key alive.
         positions: dict[int, str] = {}
         sep = "\n"
-        for r in self.receptions:
-            p = r.tx_position
+        for frame, candidates in self.receptions.by_frame():
+            p = frame.tx_position
             position = positions.get(id(p))
             if position is None:
                 position = positions[id(p)] = _position_json(p)
-            handle.write(sep + _row_json(r, quote, position))
-            sep = ",\n"
+            for row in _frame_rows(frame, candidates, quote, position):
+                handle.write(sep + row)
+                sep = ",\n"
         handle.write(("\n  ]" if self.receptions else "]") + tail + "\n")

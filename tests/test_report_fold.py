@@ -1,6 +1,6 @@
 """The summary folded during the run against one rebuilt from the records.
 
-A run keeps its reception records only when "report" is an output. Each
+A run logs its receptions only when "report" is an output. Each
 scenario here runs twice, with and without report. From the first run's
 records the outcome counts and per-link means are recomputed with a
 plain loop; they must equal the summary the second run folded as it
@@ -92,3 +92,35 @@ def test_memory_does_not_grow_with_frames_without_report():
     short = _traced_peak(_bench_grid(4, 600.0))
     long = _traced_peak(_bench_grid(4, 1200.0))
     assert long <= 1.3 * short, (short, long)
+
+
+def test_report_log_retains_at_most_100_bytes_per_candidate():
+    # A day of the campus with report on: what the finished run keeps is
+    # mostly the reception log, one frame header per frame and an RSSI, an
+    # outcome byte and a distance reference per candidate.
+    sc = BUILTIN_SCENARIOS["campus"]().replace(
+        duration_s=86400.0, outputs=frozenset({"summary", "report"})
+    )
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = engine.run(sc)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    candidates = len(report.receptions)
+    assert candidates == report.transmissions * (len(sc.nodes) - 1) > 30000
+    assert retained <= 100 * candidates, retained / candidates
+
+
+def test_reception_log_reads_like_a_list_of_records():
+    sc = BUILTIN_SCENARIOS["k4"]().replace(outputs=frozenset({"summary", "report"}))
+    log = engine.run(sc).receptions
+    records = list(log)
+    assert len(log) == len(records) > 0
+    assert [log[i] for i in range(len(log))] == records
+    assert [log[-1 - i] for i in range(len(log))] == records[::-1]
+    assert log[1:7:2] == records[1:7:2] and log[::-1] == records[::-1]
+    assert log == records and records == log and log != records[:-1]
+    with pytest.raises(IndexError):
+        log[len(log)]

@@ -5,7 +5,9 @@ reception row (times, powers and distances rounded to 6 places,
 latitude and longitude to 7, altitude to 3; strings and ints as they
 are), not from the writer's row template, and dumped with
 json.dumps(indent=2, sort_keys=True). The writer must give exactly those
-bytes, and to_dict, which parses them back, the same document.
+bytes, and to_dict, which parses them back, the same document. The
+reports are filled through ReceptionLog.add_frame, as the engine fills
+them.
 """
 
 import io
@@ -14,13 +16,25 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsim.report import ReceptionOutcome, ReceptionRecord, SimReport
+from meshsim.cli import main
+from meshsim.report import (
+    ReceptionFrame,
+    ReceptionLog,
+    ReceptionOutcome,
+    ReceptionRecord,
+    SimReport,
+)
 from meshsim.geo import LatLonAlt
 from meshsim.mesh import Port
+from meshsim.scenarios import line_scenario
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-# A number field may hold an int: a scenario file can give an altitude as 100.
+# A number field may hold an int: a scenario file can give an altitude or a
+# distance as 100.
 _number = _finite | st.integers(-(10**20), 10**20)
+# The log keeps RSSI as a C double, and the engine only ever puts floats there.
+# Bounded so that an SNR, RSSI minus a noise floor, stays finite.
+_power = st.floats(-1e307, 1e307)
 _ids = st.text(min_size=1, max_size=8) | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "tab\there", "ñ", " ", "\U0001f4e1x"]
 )
@@ -59,30 +73,33 @@ def _row(r: ReceptionRecord) -> dict:
 @st.composite
 def _reports(draw):
     ids = draw(st.lists(_ids, min_size=1, max_size=4, unique=True))
-    positions = draw(_positions)  # records share these objects, as frames do
-    records = [
-        ReceptionRecord(
-            time_s=draw(_finite.filter(lambda t: t >= 0) | st.just(-0.0)),
+    positions = draw(_positions)  # frames share these objects, as the engine's do
+    log = ReceptionLog({node: draw(_power) for node in ids})
+    for _ in range(draw(st.integers(0, 3))):
+        receivers = tuple(draw(st.lists(st.sampled_from(ids), max_size=3)))
+        frame = ReceptionFrame(
+            end_s=draw(_finite.filter(lambda t: t >= 0) | st.just(-0.0)),
             transmitter=draw(st.sampled_from(ids)),
-            receiver=draw(st.sampled_from(ids)),
             origin=draw(st.sampled_from(ids)),
             packet_id=draw(st.integers(0, 2**32 - 1)),
             port=draw(st.sampled_from(list(Port))).value,
             hop_limit=draw(st.integers(0, 7)),
-            rssi_dbm=draw(_number),
-            snr_db=draw(_number),
-            distance_m=draw(_number),
-            outcome=draw(st.sampled_from(list(ReceptionOutcome))),
             tx_position=draw(st.sampled_from(positions)),
+            receivers=receivers,
         )
-        for _ in range(draw(st.integers(0, 6)))
-    ]
+        n = len(receivers)
+        log.add_frame(
+            frame,
+            draw(st.lists(_power, min_size=n, max_size=n)),
+            draw(st.lists(st.sampled_from(list(ReceptionOutcome)), min_size=n, max_size=n)),
+            draw(st.lists(_number, min_size=n, max_size=n)),
+        )
     return SimReport(
         # A name that spells the placeholder line must not split the document.
         scenario_name=draw(_ids | st.just('\n  "receptions": null')),
         seed=draw(st.integers(0, 2**63)),
         duration_s=draw(_finite),
-        receptions=records,
+        receptions=log,
     )
 
 
@@ -106,3 +123,23 @@ def test_report_json_without_receptions_keeps_an_empty_list():
     text = _written(SimReport(scenario_name="idle", seed=1, duration_s=60.0))
     assert '\n  "receptions": [],\n' in text
     assert json.loads(text)["receptions"] == []
+
+
+def test_int_distance_and_altitude_keep_their_spelling(tmp_path):
+    # The log keeps RSSI as C doubles, but a distance or an altitude given as
+    # an int in a scenario file must still print as one.
+    doc = line_scenario().to_dict()
+    doc["nodes"][0]["position"]["altitude_m"] = 100
+    doc["links"][0]["distance_m"] = 2470
+    doc["outputs"] = ["report", "summary"]
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert '      "distance_m": 2470,\n' in text
+    assert '      "tx_altitude_m": 100,\n' in text
+    rows = json.loads(text)["receptions"]
+    pinned = [r for r in rows if {r["transmitter"], r["receiver"]} == {"node0", "node2"}]
+    assert pinned and all(type(r["distance_m"]) is int for r in pinned)
+    sent = [r for r in rows if r["transmitter"] == "node0"]
+    assert sent and all(type(r["tx_altitude_m"]) is int for r in sent)
