@@ -2,22 +2,23 @@
 
 run() plays a scenario and fills a report.SimReport; what a run
 produced, and report.json's writer, live in report. Time lives on an
-integer nanosecond clock; events are ordered by (time, insertion
-sequence), so two runs with the same scenario and seed replay the exact
-same history. The channel model is per-frame: every transmission
-produces one reception candidate per other node. Each frame collects
-every frame it overlapped in time, however long, and when it ends each
-candidate is judged against that set: a receiver that sent one of them
-was busy, and otherwise the frame survives only with a clear capture
-margin over the strongest of them. Log-normal shadowing is drawn in
-exact pairs, with random.gauss's own formula, so a frame takes just the
-normals it needs and the stream matches gauss bit for bit. A frame
-carries only its RSSI per receiver, and a ReceptionRecord is built only
-for a candidate that decodes. When the scenario asks for report.json,
-each frame's end adds one header and each candidate its RSSI, outcome
-byte and distance to the report's ReceptionLog, which holds the rows.
-The summary's figures are folded into the report as each candidate is
-judged.
+integer nanosecond clock; the heap holds Events, which begin with
+(time_ns, insertion seq), so two runs with the same scenario and seed
+replay the exact same history. The channel model is per-frame: every
+transmission produces one reception candidate per other node. Each
+frame collects every frame it overlapped in time, however long, and
+when it ends each candidate is judged against that set: a receiver that
+sent one of them was busy, and otherwise the frame survives only with a
+clear capture margin over the strongest of them. Log-normal shadowing
+is drawn in exact pairs, with random.gauss's own formula, so a frame
+takes just the normals it needs and the stream matches gauss bit for
+bit. A frame carries only its RSSI per receiver; a decode reaches the
+router as an RxMetadata, and a ReceptionRecord is built only for a map
+row, a gateway's decode while a map is an output. When the scenario
+asks for report.json, each frame's end adds one header and each
+candidate its RSSI, outcome byte and distance to the report's
+ReceptionLog, which holds the rows. The summary's figures are folded
+into the report as each candidate is judged.
 
 Each directed pair's Link is built by one _Channel, which computes the
 pair's position-free parts (overrides, link budget, the receiver's
@@ -125,7 +126,8 @@ _GNSS_TRACKER = telemetry.PayloadSource.GNSS_TRACKER
 class Event(NamedTuple):
     """One scheduled action; data carries the kind-specific payload.
 
-    The heap orders events by (time_ns, seq), so two are never compared.
+    The heap orders events as tuples; seq is unique, so the comparison
+    never reaches kind.
     """
 
     time_ns: int
@@ -371,7 +373,7 @@ class _Simulation:
         self.scenario = scenario
         self.duration_ns = round(scenario.duration_s * NS_PER_S)
         self.normals = _Normals(random.Random(derive_seed(scenario.seed, "shadow")))
-        self.heap: list[tuple[int, int, Event]] = []
+        self.heap: list[Event] = []
         self.seq = 0
         self.on_air: list[_AirFrame] = []
         self.gateways = {
@@ -448,8 +450,7 @@ class _Simulation:
         data: Any = None,
     ) -> None:
         self.seq += 1
-        event = Event(time_ns, self.seq, kind, subject, packet, data)
-        heapq.heappush(self.heap, (time_ns, self.seq, event))
+        heapq.heappush(self.heap, Event(time_ns, self.seq, kind, subject, packet, data))
 
     def schedule_app_emissions(self) -> None:
         # Only each app's next emission waits on the heap. Emission i keeps the
@@ -463,8 +464,7 @@ class _Simulation:
     def push_emission(self, seq: int, subject: str, app, i: int, count: int) -> None:
         if i < count:
             time_ns = round((app.start_offset_s + i * app.period_s) * NS_PER_S)
-            event = Event(time_ns, seq, _APP_EMIT, subject, data=(app, i, count))
-            heapq.heappush(self.heap, (time_ns, seq, event))
+            heapq.heappush(self.heap, Event(time_ns, seq, _APP_EMIT, subject, data=(app, i, count)))
 
     # -- event handlers ---------------------------------------------------
 
@@ -473,7 +473,7 @@ class _Simulation:
         heap, heappop = self.heap, heapq.heappop
         trace = self.trace if self.report.trace is not None else None
         while heap:
-            _, _, event = heappop(heap)
+            event = heappop(heap)
             if trace is not None:
                 trace(event)
             kind = event.kind
@@ -544,7 +544,7 @@ class _Simulation:
         self.report.transmissions += 1
         time_s = start_ns / NS_PER_S
         # The frame keeps the very object position_at returned: report.json
-        # prints positions by identity, and equal ones may print differently.
+        # prints each frame's own position, and equal ones may print differently.
         tx_position = node.position_at(time_s)
         receivers, links, drawn, moving = self.table[event.subject]
         if moving:
@@ -586,6 +586,7 @@ class _Simulation:
         # started transmission is a frame, and a busy radio defers its start.
         senders = {g.transmitter for g in rivals}
         tx, packet = frame.transmitter, frame.packet
+        now_s = event.time_ns / NS_PER_S
         # Each candidate's outcome, when report.json logs the frame.
         outcomes = [] if self.log is not None else None
         for (rx, rssi), (distance, _, _, _, _, noise, sensitivity) in zip(
@@ -610,22 +611,21 @@ class _Simulation:
                 outcomes.append(outcome)
             if outcome is not _DECODED:
                 continue
-            # Only a decode needs the whole record.
-            record = ReceptionRecord(
-                frame.end_s, tx, rx, packet.origin, packet.packet_id, packet.port.value,
-                packet.hop_limit, rssi, rssi - noise, distance, outcome, frame.tx_position,
-            )
             n_decoded += 1
+            snr = rssi - noise
             key = f"{tx}->{rx}"
             sums = report.link_sums.get(key)
             if sums is None:
                 sums = report.link_sums[key] = LinkSums()
             sums.frames += 1
             sums.rssi_dbm += rssi
-            sums.snr_db += record.snr_db
+            sums.snr_db += snr
             if gateway_receptions is not None and rx in self.gateways:
-                gateway_receptions.append(record)
-            self.deliver(record, packet, event.time_ns)
+                gateway_receptions.append(ReceptionRecord(
+                    frame.end_s, tx, rx, packet.origin, packet.packet_id, packet.port.value,
+                    packet.hop_limit, rssi, snr, distance, outcome, frame.tx_position,
+                ))
+            self.deliver(rx, RxMetadata(now_s, rssi, snr), packet, event.time_ns)
         if outcomes is not None:
             self.log.add_frame(
                 ReceptionFrame(
@@ -643,26 +643,24 @@ class _Simulation:
         # Frames that overlapped point at each other; break the cycle.
         rivals.clear()
 
-    def deliver(self, cand: ReceptionRecord, packet: MeshPacket, now_ns: int) -> None:
-        rx = self.nodes[cand.receiver]
-        meta = RxMetadata(now_ns / NS_PER_S, cand.rssi_dbm, cand.snr_db)
-        for action in rx.state.on_receive(packet, meta):
+    def deliver(self, receiver: str, meta: RxMetadata, packet: MeshPacket, now_ns: int) -> None:
+        for action in self.nodes[receiver].state.on_receive(packet, meta):
             kind = action.kind
             if kind is _DROP_DUPLICATE:
                 self.report.duplicates_suppressed += 1
             elif kind is _DELIVER_TO_APP:
-                self.report.app_deliveries[cand.receiver] += 1
+                self.report.app_deliveries[receiver] += 1
                 initial = first_hop_limit(self.nodes[packet.origin].radio.hop_limit)
                 self.report.hop_count_histogram[initial - packet.hop_limit + 1] += 1
             elif kind is _EMIT_UPLINK:
                 self.report.delivered_to_gateway[packet.origin] += 1
                 if self.gateway_deliveries is not None:
                     self.gateway_deliveries.append(
-                        GatewayDelivery(cand.receiver, packet, meta)
+                        GatewayDelivery(receiver, packet, meta)
                     )
             elif kind is _SCHEDULE_REBROADCAST:
                 fire_ns = now_ns + round(action.delay_s * NS_PER_S)
-                self.push(fire_ns, _REBROADCAST_FIRE, cand.receiver, packet=action.packet)
+                self.push(fire_ns, _REBROADCAST_FIRE, receiver, packet=action.packet)
 
     def finish(self) -> None:
         for nid, rt in self.nodes.items():

@@ -134,18 +134,12 @@ _GATEWAY = NodeRole.GATEWAY
 class DedupCache:
     """Remembers recently seen (origin, packet_id) pairs.
 
-    Entries expire after ttl_s and the oldest entry is evicted when the
-    cache is full. Insertion order doubles as age order because the
-    simulation clock never goes backwards.
+    Entries expire after DEDUP_TTL_S and the oldest entry is evicted
+    when DEDUP_CAPACITY are held. Insertion order doubles as age order
+    because the simulation clock never goes backwards.
     """
 
-    def __init__(self, ttl_s: float = DEDUP_TTL_S, capacity: int = DEDUP_CAPACITY):
-        if ttl_s <= 0:
-            raise ValueError(f"ttl_s {ttl_s} must be positive")
-        if capacity < 1:
-            raise ValueError(f"capacity {capacity} must be >= 1")
-        self.ttl_s = ttl_s
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._entries: OrderedDict[tuple[str, int], float] = OrderedDict()
 
     def __len__(self) -> int:
@@ -153,21 +147,21 @@ class DedupCache:
 
     def contains(self, key: tuple[str, int], now_s: float) -> bool:
         seen_at = self._entries.get(key)
-        return seen_at is not None and now_s - seen_at <= self.ttl_s
+        return seen_at is not None and now_s - seen_at <= DEDUP_TTL_S
 
     def insert(self, key: tuple[str, int], now_s: float) -> None:
         if key in self._entries:
             del self._entries[key]
         else:
             self._expire(now_s)
-            while len(self._entries) >= self.capacity:
+            while len(self._entries) >= DEDUP_CAPACITY:
                 self._entries.popitem(last=False)
         self._entries[key] = now_s
 
     def _expire(self, now_s: float) -> None:
         while self._entries:
             key, seen_at = next(iter(self._entries.items()))
-            if now_s - seen_at <= self.ttl_s:
+            if now_s - seen_at <= DEDUP_TTL_S:
                 break
             del self._entries[key]
 

@@ -5,7 +5,7 @@ in as each candidate is judged, and the lists that only some outputs
 read. summary_dict() is summary.json's document. report.json's rows
 are held in one ReceptionLog: a header per frame and, per candidate,
 only its RSSI, its outcome and its distance, so the engine builds a
-ReceptionRecord only for a decode. write_json streams report.json: the
+ReceptionRecord only for a map row. write_json streams report.json: the
 summary through json.dumps, then each reception row straight from the
 log through one template, so no row dict, no record and no whole
 document is built. That template is the only description of a row;
@@ -18,14 +18,11 @@ import functools
 import io
 import json
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import index as as_index
 from typing import Any, Callable, NamedTuple, TextIO
 
 from .geo import LatLonAlt
@@ -92,18 +89,17 @@ class ReceptionLog(Sequence[ReceptionRecord]):
     that frame, held in three columns: rssi_dbm (C doubles), outcomes
     (one byte each, the outcome's place in ReceptionOutcome) and
     distance_m (the Link's own object, so a distance pinned as 2470
-    still prints as 2470). starts holds each frame's first candidate. A
-    candidate's SNR is its RSSI minus the receiving node's noise floor,
-    the engine's own subtraction. add_frame is the only writer; the view
-    is read-only, and indexing, slicing and iterating build records.
+    still prints as 2470). A frame's candidates follow those of the
+    frames before it. A candidate's SNR is its RSSI minus the receiving
+    node's noise floor, the engine's own subtraction. add_frame is the
+    only writer; the view is read-only, and iterating builds records.
     """
 
-    __slots__ = ("noise_floor_dbm", "frames", "starts", "rssi_dbm", "outcomes", "distance_m")
+    __slots__ = ("noise_floor_dbm", "frames", "rssi_dbm", "outcomes", "distance_m")
 
     def __init__(self, noise_floor_dbm: Mapping[str, float] | None = None):
         self.noise_floor_dbm = noise_floor_dbm or {}
         self.frames: list[ReceptionFrame] = []
-        self.starts = array("q")
         self.rssi_dbm = array("d")
         self.outcomes = bytearray()
         self.distance_m: list[float] = []
@@ -116,30 +112,29 @@ class ReceptionLog(Sequence[ReceptionRecord]):
         distance_m: Iterable[float],
     ) -> None:
         """Log one frame and its candidates, one value per receiver in each."""
-        self.starts.append(len(self.rssi_dbm))
         self.frames.append(frame)
         self.rssi_dbm.extend(rssi_dbm)
         # tuple.index finds a member by identity first, without Enum's hash.
         self.outcomes.extend(map(_OUTCOMES.index, outcomes))
         self.distance_m.extend(distance_m)
 
-    def _candidates(self, f: int) -> Iterator[tuple]:
-        """Frame f's candidates: (receiver, rssi, snr, distance, outcome byte)."""
-        frame, start = self.frames[f], self.starts[f]
-        end = start + len(frame.receivers)
-        powers, noise = self.rssi_dbm[start:end], self.noise_floor_dbm
-        return zip(
-            frame.receivers,
-            powers,
-            [p - noise[rx] for rx, p in zip(frame.receivers, powers)],
-            self.distance_m[start:end],
-            self.outcomes[start:end],
-        )
-
     def by_frame(self) -> Iterator[tuple[ReceptionFrame, Iterator[tuple]]]:
-        """Each frame with its candidates, in judge order."""
-        for f, frame in enumerate(self.frames):
-            yield frame, self._candidates(f)
+        """Each frame with its candidates, in judge order.
+
+        A candidate is (receiver, rssi, snr, distance, outcome byte).
+        """
+        noise, start = self.noise_floor_dbm, 0
+        for frame in self.frames:
+            end = start + len(frame.receivers)
+            powers = self.rssi_dbm[start:end]
+            yield frame, zip(
+                frame.receivers,
+                powers,
+                [p - noise[rx] for rx, p in zip(frame.receivers, powers)],
+                self.distance_m[start:end],
+                self.outcomes[start:end],
+            )
+            start = end
 
     def __len__(self) -> int:
         return len(self.rssi_dbm)
@@ -150,16 +145,7 @@ class ReceptionLog(Sequence[ReceptionRecord]):
                 yield _record(frame, *candidate)
 
     def __getitem__(self, i: int | slice) -> ReceptionRecord | list[ReceptionRecord]:
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = as_index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("reception index out of range")
-        f = bisect_right(self.starts, i) - 1
-        candidate = next(islice(self._candidates(f), i - self.starts[f], None))
-        return _record(self.frames[f], *candidate)
+        return list(self)[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, ReceptionLog)):
@@ -186,8 +172,8 @@ def _frame_rows(
     frame: ReceptionFrame,
     candidates: Iterator[tuple],
     quote: Callable[[str], str],
-    position: str,
 ) -> Iterator[str]:
+    p = frame.tx_position
     hop_origin = (
         f'      "hop_limit": {frame.hop_limit!r},\n'
         f'      "origin": {quote(frame.origin)},\n'
@@ -196,10 +182,13 @@ def _frame_rows(
         f'      "packet_id": {frame.packet_id!r},\n'
         f'      "port": {quote(frame.port)},\n'
     )
-    time_transmitter = (
+    time_tx_position = (
         f'      "time_s": {round(frame.end_s, 6)!r},\n'
         f'      "transmitter": {quote(frame.transmitter)},\n'
-        f"{position}"
+        f'      "tx_altitude_m": {round(p.altitude_m, 3)!r},\n'
+        f'      "tx_latitude": {round(p.latitude, 7)!r},\n'
+        f'      "tx_longitude": {round(p.longitude, 7)!r}\n'
+        "    }"
     )
     for rx, rssi, snr, distance, outcome in candidates:
         yield (
@@ -211,18 +200,8 @@ def _frame_rows(
             f'      "receiver": {quote(rx)},\n'
             f'      "rssi_dbm": {round(rssi, 6)!r},\n'
             f'      "snr_db": {round(snr, 6)!r},\n'
-            f"{time_transmitter}"
+            f"{time_tx_position}"
         )
-
-
-def _position_json(p: LatLonAlt) -> str:
-    """The last three lines of a row, which depend on tx_position alone."""
-    return (
-        f'      "tx_altitude_m": {round(p.altitude_m, 3)!r},\n'
-        f'      "tx_latitude": {round(p.latitude, 7)!r},\n'
-        f'      "tx_longitude": {round(p.longitude, 7)!r}\n'
-        "    }"
-    )
 
 
 class GatewayDelivery(NamedTuple):
@@ -345,16 +324,9 @@ class SimReport:
         ).partition('\n  "receptions": null')
         handle.write(head + '\n  "receptions": [')
         quote = functools.cache(encode_basestring_ascii)  # few distinct strings
-        # By identity: equal positions such as 0.0 and -0.0, or 100 and
-        # 100.0, print differently. The log keeps every key alive.
-        positions: dict[int, str] = {}
         sep = "\n"
         for frame, candidates in self.receptions.by_frame():
-            p = frame.tx_position
-            position = positions.get(id(p))
-            if position is None:
-                position = positions[id(p)] = _position_json(p)
-            for row in _frame_rows(frame, candidates, quote, position):
+            for row in _frame_rows(frame, candidates, quote):
                 handle.write(sep + row)
                 sep = ",\n"
         handle.write(("\n  ]" if self.receptions else "]") + tail + "\n")

@@ -244,11 +244,22 @@ class Scenario:
         elif not self.duration_s * NS_PER_S <= sys.float_info.max:
             # Unlike math.isfinite, this comparison also holds for huge ints.
             v.append(f"duration_s: {self.duration_s} overflows the nanosecond clock")
-        elif self._emissions() > MAX_EMISSIONS:
-            v.append(
-                f"duration_s: {self.duration_s} s asks for more than"
-                f" {MAX_EMISSIONS} app emissions in total"
-            )
+        else:
+            if self._emissions() > MAX_EMISSIONS:
+                v.append(
+                    f"duration_s: {self.duration_s} s asks for more than"
+                    f" {MAX_EMISSIONS} app emissions in total"
+                )
+            # A position fix carries its time as unsigned 32-bit seconds.
+            if self.epoch_s + math.ceil(self.duration_s) >= 1 << 32 and any(
+                app.payload_source is PayloadSource.GNSS_TRACKER
+                for n in self.nodes
+                for app in n.apps
+            ):
+                v.append(
+                    f"epoch_s: {self.epoch_s} plus duration_s {self.duration_s} reaches"
+                    " 2**32 s, past a position fix's unsigned 32-bit time"
+                )
         if self.seed < 0:
             v.append(f"seed: {self.seed} must be a non-negative integer")
         if self.epoch_s < 0:
@@ -275,7 +286,9 @@ class Scenario:
                 if app.payload_source is not PayloadSource.TEXT_FIXED:
                     continue
                 text = encoded(f"{where}: apps[{j}] text", app.text)
-                if text is not None and len(text) > MAX_PAYLOAD_BYTES:
+                if text == b"":
+                    v.append(f"{where}: apps[{j}] text must not be empty")
+                elif text is not None and len(text) > MAX_PAYLOAD_BYTES:
                     v.append(
                         f"{where}: apps[{j}] text exceeds {MAX_PAYLOAD_BYTES} bytes"
                     )
@@ -754,7 +767,7 @@ _SYNTH_ENV = EnvironmentClass(
 _UNREACHABLE_M = 1e7
 
 
-def _line_nodes(count: int, spacing_m: float) -> tuple[NodeSpec, ...]:
+def _line_nodes(count: int) -> tuple[NodeSpec, ...]:
     roles = [NodeRole.CLIENT] + [NodeRole.ROUTER] * (count - 2) + [NodeRole.GATEWAY]
     nodes = []
     for i in range(count):
@@ -764,7 +777,7 @@ def _line_nodes(count: int, spacing_m: float) -> tuple[NodeSpec, ...]:
                 id=f"node{i}",
                 name=f"line position {i}",
                 role=roles[i],
-                position=offset_position(_FLAT_ORIGIN, i * spacing_m, 0.0, 0.0),
+                position=offset_position(_FLAT_ORIGIN, 300.0 * i, 0.0, 0.0),
                 apps=apps,
             )
         )
@@ -779,7 +792,7 @@ def _non_adjacent_cuts(count: int) -> tuple[LinkOverride, ...]:
     )
 
 
-def line_scenario(count: int = 4, spacing_m: float = 300.0) -> Scenario:
+def line_scenario(count: int = 4) -> Scenario:
     """A chain with adjacent-only links; pins hop-budget behavior."""
     if count < 2:
         raise ValueError(f"line needs at least 2 nodes, got {count}")
@@ -787,7 +800,7 @@ def line_scenario(count: int = 4, spacing_m: float = 300.0) -> Scenario:
         name=f"line{count}",
         duration_s=30.0,
         seed=1,
-        nodes=_line_nodes(count, spacing_m),
+        nodes=_line_nodes(count),
         default_env=(EnvBand(env=_SYNTH_ENV),),
         links=_non_adjacent_cuts(count),
         outputs=frozenset({"summary", "uplinks", "series", "map_csv"}),

@@ -98,15 +98,9 @@ class IrradianceSample:
     battery_soc: int | None = None
 
     @classmethod
-    def from_adc(
-        cls,
-        adc_raw: int,
-        battery_soc: int | None = None,
-        scale_v_per_wm2: float = PYRANOMETER_SCALE_V_PER_WM2,
-        max_wm2: float = IRRADIANCE_MAX_WM2,
-    ) -> "IrradianceSample":
+    def from_adc(cls, adc_raw: int, battery_soc: int | None = None) -> "IrradianceSample":
         volts = adc_to_voltage(adc_raw)
-        irradiance, _ = voltage_to_irradiance(volts, scale_v_per_wm2, max_wm2)
+        irradiance, _ = voltage_to_irradiance(volts)
         return cls(
             adc_raw=adc_raw,
             volts=volts,
@@ -140,11 +134,7 @@ def adc_to_voltage(adc_raw: int) -> float:
     return adc_raw / ADC_FULL_SCALE * ADC_REFERENCE_VOLTS
 
 
-def voltage_to_irradiance(
-    volts: float,
-    scale_v_per_wm2: float = PYRANOMETER_SCALE_V_PER_WM2,
-    max_wm2: float = IRRADIANCE_MAX_WM2,
-) -> tuple[float, bool]:
+def voltage_to_irradiance(volts: float) -> tuple[float, bool]:
     """Convert sensor volts to W/m^2; returns (value, clamped).
 
     Values beyond the sensor's physical maximum are clamped and flagged
@@ -152,11 +142,9 @@ def voltage_to_irradiance(
     """
     if volts < 0:
         raise ValueError(f"volts {volts} must be >= 0")
-    if scale_v_per_wm2 <= 0:
-        raise ValueError(f"scale_v_per_wm2 {scale_v_per_wm2} must be positive")
-    irradiance = volts / scale_v_per_wm2
-    if irradiance > max_wm2:
-        return max_wm2, True
+    irradiance = volts / PYRANOMETER_SCALE_V_PER_WM2
+    if irradiance > IRRADIANCE_MAX_WM2:
+        return IRRADIANCE_MAX_WM2, True
     return irradiance, False
 
 
@@ -224,13 +212,12 @@ def decode_irradiance(payload: bytes) -> IrradianceSample:
     )
 
 
-def irradiance_adc(time_s: float, profile: DiurnalProfile | None = None) -> int:
+def irradiance_adc(time_s: float, profile: DiurnalProfile) -> int:
     """Synthetic ADC reading at a simulation time: half-sine over daylight.
 
     Zero outside the daylight window, peak at solar noon, symmetric
     about it, and continuous at sunrise and sunset.
     """
-    profile = profile if profile is not None else DiurnalProfile()
     t = time_s % SECONDS_PER_DAY
     if t < profile.sunrise_s or t > profile.sunset_s:
         return 0

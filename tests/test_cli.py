@@ -251,6 +251,35 @@ def test_too_many_emissions_is_usage_error(tmp_path):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_empty_fixed_text_is_usage_error(tmp_path, capsys):
+    obj = k4_scenario().to_dict()
+    for node in obj["nodes"]:
+        for app in node["apps"]:
+            app["text"] = ""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "error: nodes[0] (node0): apps[0] text must not be empty\n"
+    )
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_fix_time_past_32_bits_is_usage_error(tmp_path, capsys):
+    # The tracker's fixes carry epoch_s + int(t) as an unsigned 32-bit time.
+    obj = campus_scenario().to_dict()
+    last_epoch = 2**32 - 1 - math.ceil(obj["duration_s"])
+    for epoch_s, code in ((last_epoch, 0), (last_epoch + 1, 2)):
+        obj["epoch_s"] = epoch_s
+        path = tmp_path / f"epoch{epoch_s}.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / str(epoch_s)
+        assert run_cli("--scenario", str(path), "--out-dir", str(out), "--emit", "summary") == code
+    assert capsys.readouterr().err.startswith(f"error: epoch_s: {last_epoch + 1} plus duration_s")
+    assert (tmp_path / str(last_epoch) / "summary.json").exists()
+    assert not (tmp_path / str(last_epoch + 1)).exists()
+
+
 def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
     obj = k4_scenario().to_dict()
     for node in obj["nodes"]:

@@ -571,7 +571,7 @@ def test_app_emissions_wait_on_the_heap_one_at_a_time(monkeypatch):
     def push(heap, item):
         real_push(heap, item)
         queued: dict[str, int] = {}
-        for _, _, event in heap:
+        for event in heap:
             if event.kind is engine.EventKind.APP_EMIT:
                 queued[event.subject] = queued.get(event.subject, 0) + 1
         for node, count in queued.items():

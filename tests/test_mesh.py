@@ -85,11 +85,13 @@ def test_dedup_refresh_does_not_extend_from_lookup():
 
 
 def test_dedup_evicts_oldest_when_full():
-    cache = DedupCache(ttl_s=1e9)
+    # Every insert falls within one TTL, so only the capacity can evict.
+    cache = DedupCache()
     for i in range(DEDUP_CAPACITY):
-        cache.insert(("a", i), now_s=float(i))
+        cache.insert(("a", i), now_s=i * 0.1)
+    assert DEDUP_CAPACITY * 0.1 < DEDUP_TTL_S
     assert cache.contains(("a", 0), now_s=0.0)
-    cache.insert(("a", DEDUP_CAPACITY), now_s=float(DEDUP_CAPACITY))
+    cache.insert(("a", DEDUP_CAPACITY), now_s=DEDUP_CAPACITY * 0.1)
     assert not cache.contains(("a", 0), now_s=0.0)
     assert cache.contains(("a", 1), now_s=0.0)
     assert len(cache) == DEDUP_CAPACITY

@@ -233,6 +233,31 @@ def test_validate_oversized_text_app():
     assert any("text exceeds" in v for v in bad.validate())
 
 
+def test_validate_rejects_empty_fixed_text():
+    # An empty payload has no time on air; it must not load and fail mid-run.
+    sc = k4_scenario()
+    node0 = replace(sc.nodes[0], apps=(replace(sc.nodes[0].apps[0], text=""),))
+    assert sc.replace(nodes=(node0, *sc.nodes[1:])).validate() == [
+        "nodes[0] (node0): apps[0] text must not be empty"
+    ]
+
+
+def test_validate_bounds_fix_time_by_epoch():
+    # A fix at time t carries epoch_s + int(t), packed as an unsigned 32-bit int.
+    sc = campus_scenario()
+    assert any(
+        app.payload_source is PayloadSource.GNSS_TRACKER for n in sc.nodes for app in n.apps
+    )
+    last_epoch = 2**32 - 1 - math.ceil(sc.duration_s)
+    assert sc.replace(epoch_s=last_epoch).validate() == []
+    assert sc.replace(epoch_s=last_epoch + 1).validate() == [
+        f"epoch_s: {last_epoch + 1} plus duration_s {sc.duration_s} reaches"
+        " 2**32 s, past a position fix's unsigned 32-bit time"
+    ]
+    # Without a tracker no payload carries the epoch.
+    assert k4_scenario().replace(epoch_s=2**40).validate() == []
+
+
 def _one_app_k4(period_s: float, duration_s: float) -> Scenario:
     sc = k4_scenario()
     app = AppSchedule(Port.TEXT_MESSAGE_APP, PayloadSource.TEXT_FIXED, period_s=period_s)
@@ -490,7 +515,7 @@ _app = st.builds(
     # With periods of 1 s or more, 8 apps over at most 1e6 s stay under MAX_EMISSIONS.
     period_s=st.floats(min_value=1.0, max_value=1e7),
     start_offset_s=_nonneg(),
-    text=st.text(max_size=20),
+    text=st.text(min_size=1, max_size=20),  # a fixed text needs a payload byte
 )
 
 
@@ -543,9 +568,15 @@ def _scenarios(draw):
     )
     pairs = st.tuples(st.integers(0, 16), st.integers(0, 16)).map(lambda p: tuple(sorted(p)))
     sunrise = draw(_nonneg(40_000.0))
+    duration_s = draw(_positive(1e6))
+    # A tracker's fix time, epoch_s + int(t), is an unsigned 32-bit int.
+    tracking = any(
+        app.payload_source is PayloadSource.GNSS_TRACKER for n in nodes for app in n.apps
+    )
+    max_epoch_s = 2**32 - 1 - math.ceil(duration_s) if tracking else 2**40
     return Scenario(
         name=draw(st.text(_printable, min_size=1, max_size=10)),
-        duration_s=draw(_positive(1e6)),
+        duration_s=duration_s,
         seed=draw(st.integers(0, 2**63)),
         nodes=nodes,
         default_env=bands,
@@ -559,7 +590,7 @@ def _scenarios(draw):
             windows=draw(st.fixed_dictionaries({role: pairs for role in NodeRole})),
         ),
         capture_threshold_db=draw(_nonneg()),
-        epoch_s=draw(st.integers(0, 2**40)),
+        epoch_s=draw(st.integers(0, max_epoch_s)),
         region=draw(st.text(min_size=1, max_size=4)),
         irradiance_profile=DiurnalProfile(
             peak_adc=draw(st.integers(1, 4095)),

@@ -185,7 +185,7 @@ def test_daylight_wraps_to_next_day():
 
 @given(t=st.floats(min_value=0.0, max_value=7 * 86400.0))
 def test_daylight_always_within_adc_range(t):
-    value = irradiance_adc(t)
+    value = irradiance_adc(t, DiurnalProfile())
     assert 0 <= value <= ADC_FULL_SCALE
 
 
