@@ -12,9 +12,12 @@ sent one of them was busy, and otherwise the frame survives only with a
 clear capture margin over the strongest of them. Log-normal shadowing
 is drawn in exact pairs, with random.gauss's own formula, so a frame
 takes just the normals it needs and the stream matches gauss bit for
-bit. A frame carries only its RSSI per receiver; a decode reaches the
-router as an RxMetadata, and a ReceptionRecord is built only for a map
-row, a gateway's decode while a map is an output. When the scenario
+bit. A frame carries only its RSSI per receiver; its packet rides on
+its TX_END event, and that event's time is the frame's only end time:
+the decodes, the map rows and report.json's rows all read it. A decode
+reaches the router as an RxMetadata, and a ReceptionRecord is built only
+for a map row, a gateway's decode while a map is an output; the rows
+are kept in judge order, which the maps write as is. When the scenario
 asks for report.json, each frame's end adds one header and each
 candidate its RSSI, outcome byte and distance to the report's
 ReceptionLog, which holds the rows. The summary's figures are folded
@@ -155,10 +158,10 @@ def link_overrides(links: Iterable[LinkOverride]) -> dict[tuple[str, str], LinkO
 
 
 def env_for_distance(bands: Sequence[EnvBand], distance_m: float) -> EnvironmentClass:
+    """The env of the first band covering distance_m; validate() makes the last a catch-all."""
     for band in bands:
         if band.max_distance_m is None or distance_m <= band.max_distance_m:
             return band.env
-    return bands[-1].env
 
 
 def judge(
@@ -326,24 +329,18 @@ class _Row(NamedTuple):
 class _AirFrame:
     """A frame in flight, its RSSI at each receiver and the frames it overlapped."""
 
-    __slots__ = (
-        "transmitter", "packet", "end_ns", "end_s", "tx_position", "links", "rssi_at", "rivals",
-    )
+    __slots__ = ("transmitter", "end_ns", "tx_position", "links", "rssi_at", "rivals")
 
     def __init__(
         self,
         transmitter: str,
-        packet: MeshPacket,
         end_ns: int,
-        end_s: float,
         tx_position: LatLonAlt,
         links: Sequence[Link],
         rssi_at: dict[str, float],
     ):
         self.transmitter = transmitter
-        self.packet = packet
         self.end_ns = end_ns
-        self.end_s = end_s
         self.tx_position = tx_position
         self.links = links  # in the order of rssi_at's receivers
         self.rssi_at = rssi_at
@@ -555,9 +552,7 @@ class _Simulation:
                     drawn += 1
         frame = _AirFrame(
             event.subject,
-            packet,
             end_ns,
-            time_s + toa_s,
             tx_position,
             links,
             dict(zip(receivers, propagate(links, drawn, self.normals))),
@@ -585,7 +580,7 @@ class _Simulation:
         # A node that sent a rival was transmitting during this frame: every
         # started transmission is a frame, and a busy radio defers its start.
         senders = {g.transmitter for g in rivals}
-        tx, packet = frame.transmitter, frame.packet
+        tx, packet = event.subject, event.packet
         now_s = event.time_ns / NS_PER_S
         # Each candidate's outcome, when report.json logs the frame.
         outcomes = [] if self.log is not None else None
@@ -622,14 +617,14 @@ class _Simulation:
             sums.snr_db += snr
             if gateway_receptions is not None and rx in self.gateways:
                 gateway_receptions.append(ReceptionRecord(
-                    frame.end_s, tx, rx, packet.origin, packet.packet_id, packet.port.value,
+                    now_s, tx, rx, packet.origin, packet.packet_id, packet.port.value,
                     packet.hop_limit, rssi, snr, distance, outcome, frame.tx_position,
                 ))
             self.deliver(rx, RxMetadata(now_s, rssi, snr), packet, event.time_ns)
         if outcomes is not None:
             self.log.add_frame(
                 ReceptionFrame(
-                    frame.end_s, tx, packet.origin, packet.packet_id, packet.port.value,
+                    now_s, tx, packet.origin, packet.packet_id, packet.port.value,
                     packet.hop_limit, frame.tx_position, self.table[tx].receivers,
                 ),
                 frame.rssi_at.values(),

@@ -22,12 +22,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Iterable, TextIO
 
 from .geo import geo_to_local
 from .mesh import NodeRole, Port
-from .report import GatewayDelivery, ReceptionRecord, SimReport
+from .report import GatewayDelivery, SimReport
 from .scenarios import NS_PER_S, Scenario
 from .telemetry import CodecError, decode_irradiance, decode_position
 from .phy import round_half_away_from_zero, snr_raw_decode, snr_raw_encode
@@ -249,15 +248,6 @@ def serialize_line_protocol(records: Iterable[SeriesRecord]) -> str:
     return "\n".join(lines)
 
 
-def _gateway_rows(report: SimReport) -> list[ReceptionRecord]:
-    """The frames decoded at gateways, sorted by (time_s, transmitter).
-
-    The records themselves are the rows: the maps format what they need
-    straight off each one, so a map costs one list of references.
-    """
-    return sorted(report.gateway_receptions, key=attrgetter("time_s", "transmitter"))
-
-
 @functools.lru_cache(maxsize=1024)
 def _csv_field(text: str) -> str:
     """Quote a field only when it needs it, as csv.QUOTE_MINIMAL does."""
@@ -268,8 +258,8 @@ def _csv_field(text: str) -> str:
 
 def reception_map_csv(report: SimReport, scenario: Scenario, handle: TextIO) -> None:
     """Write the coverage map of frames decoded at gateways to handle, x/y
-    in gateway-local meters, one row per write. Header only when nothing
-    was received.
+    in gateway-local meters, one row per write, in judge order. Header
+    only when nothing was received.
     """
     gateways = {
         spec.id: spec.position
@@ -278,7 +268,7 @@ def reception_map_csv(report: SimReport, scenario: Scenario, handle: TextIO) -> 
     }
     write = handle.write
     write(_MAP_COLUMNS + "\n")
-    for rec in _gateway_rows(report):
+    for rec in report.gateway_receptions:
         x_m, y_m = geo_to_local(rec.tx_position, gateways[rec.receiver])
         rssi = rec.rssi_dbm
         write(
@@ -311,7 +301,7 @@ def reception_map_kml(report: SimReport, scenario: Scenario, handle: TextIO) -> 
             f'<Style id="{bucket}"><IconStyle><color>{color}</color>'
             "</IconStyle></Style>\n"
         )
-    for rec in _gateway_rows(report):
+    for rec in report.gateway_receptions:
         pos = rec.tx_position
         write(
             "<Placemark>"

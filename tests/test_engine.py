@@ -1,5 +1,6 @@
 """Event-loop behavior: collisions, busy receivers, floods, conservation."""
 
+import dataclasses
 import math
 import random
 
@@ -260,6 +261,26 @@ def test_frames_longer_than_a_minute_still_collide():
     for tx in ("node0", "node1"):
         for rx in ("node2", "node3"):
             assert outcome_of(report, tx, rx) == [ReceptionOutcome.COLLIDED]
+
+
+def test_start_while_busy_waits_for_the_radio():
+    # Two single-shot apps on node0 both start at t = 0; the second frame's
+    # TX_START finds the radio busy and is queued again at the first's end.
+    sc = k4_scenario()
+    texts = ("ping", "pong")
+    node0 = dataclasses.replace(
+        sc.nodes[0],
+        apps=tuple(
+            AppSchedule(Port.TEXT_MESSAGE_APP, PayloadSource.TEXT_FIXED, period_s=1e9, text=t)
+            for t in texts
+        ),
+    )
+    report = engine.run(sc.replace(nodes=(node0,) + sc.nodes[1:]), collect_trace=True)
+    end_ns = round(time_on_air_s(len(texts[0]), RadioConfig()) * 1e9)
+    assert end_ns == 544_768_000
+    starts = [line.split()[0] for line in report.trace if " TX_START node=node0 " in line]
+    assert starts == ["t=0.000000", "t=0.000000", f"t={end_ns / 1e9:.6f}"]
+    assert sum(" TX_END node=node0 " in line for line in report.trace) == 2
 
 
 # --- conservation and accounting ------------------------------------------------------

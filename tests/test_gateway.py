@@ -21,10 +21,25 @@ from meshsim.gateway import (
     uplink_from_delivery,
     uplink_to_series,
 )
-from meshsim.mesh import MeshPacket, Port, RxMetadata
+from meshsim.geo import LatLonAlt, offset_position
+from meshsim.mesh import MeshPacket, NodeRole, Port, RxMetadata
+from meshsim.phy import EnvironmentClass, Terrain
 from meshsim.report import GatewayDelivery
-from meshsim.scenarios import k4_scenario, line_scenario
-from meshsim.telemetry import IrradianceSample, encode_irradiance, encode_position
+from meshsim.scenarios import (
+    REFERENCE_LOSS_915_DB,
+    EnvBand,
+    NodeSpec,
+    Scenario,
+    k4_scenario,
+    line_scenario,
+)
+from meshsim.telemetry import (
+    AppSchedule,
+    IrradianceSample,
+    PayloadSource,
+    encode_irradiance,
+    encode_position,
+)
 
 
 def delivery_for(port, payload, time_s=12.5, rssi=-96.4, snr=3.1):
@@ -69,6 +84,14 @@ def test_uplink_position_payload():
 def test_uplink_text_payload():
     up = uplink_from_delivery(delivery_for(Port.TEXT_MESSAGE_APP, "hola".encode()))
     assert up.body["payload"] == {"text": "hola"}
+
+
+def test_uplink_irradiance_payload_carries_battery_soc():
+    payload = encode_irradiance(IrradianceSample.from_adc(2000, battery_soc=87))
+    assert len(payload) == 7
+    up = uplink_from_delivery(delivery_for(Port.TELEMETRY_APP, payload))
+    assert up.body["payload"]["adc_raw"] == 2000
+    assert up.body["payload"]["battery_soc"] == 87
 
 
 def test_uplink_control_falls_back_to_hex():
@@ -356,8 +379,7 @@ def test_map_csv_quotes_ids_as_the_csv_module_reads_them():
     text = _written(reception_map_csv, report, sc)
     rows = list(csv.DictReader(io.StringIO(text, newline="")))
     assert len(rows) == len(report.gateway_receptions) > 0
-    records = sorted(report.gateway_receptions, key=lambda r: (r.time_s, r.transmitter))
-    for row, rec in zip(rows, records):
+    for row, rec in zip(rows, report.gateway_receptions):
         assert None not in row  # no row spilled over the nine columns
         assert row["node"] == rec.transmitter
         assert row["bucket"] in {"GREEN", "ORANGE", "RED"}
@@ -380,3 +402,47 @@ def test_map_kml_escapes_ids_and_the_scenario_name():
     assert len(names) == len(report.gateway_receptions) > 0
     assert {name.rsplit(" t=", 1)[0] for name in names} <= set(HOSTILE_IDS) | {"node3"}
     assert any(name.startswith(HOSTILE_IDS[0] + " t=") for name in names)
+
+
+def test_maps_keep_judge_order_when_frames_end_together():
+    # Two senders 3 km apart send equal texts at t = 0, each 100 m from its
+    # own gateway, on a line of sight with no shadowing. Both frames end in
+    # the same nanosecond; each survives only at its own gateway. b_sender is
+    # listed first, so its frame is judged first and its row comes first.
+    origin = LatLonAlt(-0.2, -78.5, 2560.0)
+    shot = AppSchedule(
+        Port.TEXT_MESSAGE_APP, PayloadSource.TEXT_FIXED, period_s=1e9, text="ping"
+    )
+
+    def at(east_m):
+        return offset_position(origin, east_m, 0.0, 2560.0)
+
+    sc = Scenario(
+        name="tie",
+        duration_s=60.0,
+        seed=1,
+        nodes=(
+            NodeSpec(id="b_sender", name="b", role=NodeRole.CLIENT, position=at(3000.0),
+                     apps=(shot,)),
+            NodeSpec(id="a_sender", name="a", role=NodeRole.CLIENT, position=at(0.0),
+                     apps=(shot,)),
+            NodeSpec(id="a_gw", name="a_gw", role=NodeRole.GATEWAY, position=at(-100.0)),
+            NodeSpec(id="b_gw", name="b_gw", role=NodeRole.GATEWAY, position=at(3100.0)),
+        ),
+        default_env=(
+            EnvBand(env=EnvironmentClass(Terrain.LOS_OPEN, 2.0, REFERENCE_LOSS_915_DB)),
+        ),
+        outputs=frozenset({"summary", "map_csv", "map_kml"}),
+    )
+    report = engine.run(sc)
+    first, second = report.gateway_receptions[:2]
+    assert first.time_s == second.time_s
+    assert [(r.transmitter, r.receiver) for r in (first, second)] == [
+        ("b_sender", "b_gw"),
+        ("a_sender", "a_gw"),
+    ]
+    rows = list(csv.DictReader(io.StringIO(_written(reception_map_csv, report, sc))))
+    assert [row["node"] for row in rows] == [r.transmitter for r in report.gateway_receptions]
+    assert rows[0]["time_s"] == rows[1]["time_s"]
+    kml = _written(reception_map_kml, report, sc)
+    assert kml.index("<name>b_sender t=") < kml.index("<name>a_sender t=")

@@ -97,6 +97,21 @@ def test_dedup_evicts_oldest_when_full():
     assert len(cache) == DEDUP_CAPACITY
 
 
+def test_dedup_reinserts_an_expired_key_once():
+    # The first copy's entry outlives its TTL until something evicts it; a
+    # copy heard after that is a new delivery and replaces the old entry.
+    state = RouterState("n2", NodeRole.CLIENT)
+    packet = make_packet(hop_limit=2)
+    state.on_receive(packet, rx_at(0.0))
+    late = DEDUP_TTL_S + 0.5
+    assert len(state.dedup) == 1 and not state.dedup.contains(("nodeA", 7), late)
+    again = state.on_receive(packet, rx_at(late))
+    assert ActionKind.DELIVER_TO_APP in [a.kind for a in again]
+    assert ActionKind.DROP_DUPLICATE not in [a.kind for a in again]
+    assert len(state.dedup) == 1
+    assert state.dedup.contains(("nodeA", 7), late)
+
+
 # --- packet id sequence ------------------------------------------------------
 
 
