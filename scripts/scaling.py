@@ -77,7 +77,7 @@ def measure(batch: list[scenarios.Scenario]) -> dict:
 def measure_write(scenario: scenarios.Scenario) -> dict:
     """Median wall time of REPEATS write_outputs calls on one report, then
     the tracemalloc peak of one more above the heap it starts from."""
-    report = engine.run(scenario, collect_trace="trace" in scenario.outputs)
+    report = engine.run(scenario)
     times = []
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)

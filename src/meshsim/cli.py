@@ -248,9 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         run_scenario = scenario.replace(seed=seed)
         out_dir = out_root / f"seed_{seed}" if batch else out_root
         try:
-            report = engine.run(
-                run_scenario, collect_trace="trace" in run_scenario.outputs
-            )
+            report = engine.run(run_scenario)
             written = write_outputs(report, run_scenario, out_dir)
         except ScenarioError as exc:
             for violation in exc.violations:

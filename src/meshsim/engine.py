@@ -380,11 +380,11 @@ class _Simulation:
             scenario_name=scenario.name,
             seed=scenario.seed,
             duration_s=scenario.duration_s,
-            trace=[] if collect_trace else None,
+            trace=[] if collect_trace or "trace" in scenario.outputs else None,
         )
-        # Only report.json reads every candidate, only the maps read the
-        # gateway receptions and only uplinks and series read the gateway
-        # deliveries; the summary is folded at TX_END.
+        # A store is kept only for the outputs that read it: the trace for
+        # trace.log, every candidate for report.json, the gateway receptions
+        # for the maps and the gateway deliveries for uplinks and series.
         outputs = scenario.outputs
         self.gateway_receptions = (
             self.report.gateway_receptions if outputs & {"map_csv", "map_kml"} else None
@@ -663,7 +663,11 @@ class _Simulation:
 
 
 def run(scenario: Scenario, collect_trace: bool = False) -> SimReport:
-    """Validate and execute a scenario; raises ScenarioError when unsound."""
+    """Validate and execute a scenario; raises ScenarioError when unsound.
+
+    The report keeps the stores that scenario.outputs reads, the trace
+    included. collect_trace keeps it too; only bench/child.py passes it.
+    """
     violations = scenario.validate()
     if violations:
         raise ScenarioError(violations)

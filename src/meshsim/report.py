@@ -14,16 +14,15 @@ to_dict() parses the written bytes back.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, NamedTuple, TextIO
+from typing import Any, NamedTuple, TextIO
 
 from .geo import LatLonAlt
 from .mesh import MeshPacket, RxMetadata
@@ -82,17 +81,17 @@ class ReceptionFrame(NamedTuple):
     receivers: tuple[str, ...]
 
 
-class ReceptionLog(Sequence[ReceptionRecord]):
-    """Every candidate of a run in judge order, read as ReceptionRecords.
+class ReceptionLog:
+    """Every candidate of a run in judge order.
 
     One ReceptionFrame per frame, then one candidate per receiver of
     that frame, held in three columns: rssi_dbm (C doubles), outcomes
     (one byte each, the outcome's place in ReceptionOutcome) and
     distance_m (the Link's own object, so a distance pinned as 2470
-    still prints as 2470). A frame's candidates follow those of the
-    frames before it. A candidate's SNR is its RSSI minus the receiving
-    node's noise floor, the engine's own subtraction. add_frame is the
-    only writer; the view is read-only, and iterating builds records.
+    still prints as 2470). A candidate's SNR is its RSSI minus the
+    receiving node's noise floor, the engine's own subtraction.
+    add_frame is the only writer. Iterating builds ReceptionRecords on
+    demand; the log has a length but no indexing.
     """
 
     __slots__ = ("noise_floor_dbm", "frames", "rssi_dbm", "outcomes", "distance_m")
@@ -144,14 +143,6 @@ class ReceptionLog(Sequence[ReceptionRecord]):
             for candidate in candidates:
                 yield _record(frame, *candidate)
 
-    def __getitem__(self, i: int | slice) -> ReceptionRecord | list[ReceptionRecord]:
-        return list(self)[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, ReceptionLog)):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 def _record(
     frame: ReceptionFrame, rx: str, rssi: float, snr: float, distance: float, outcome: int
@@ -168,23 +159,19 @@ def _record(
 # an int (an altitude or a distance given as 100): repr(round(v, k)) prints
 # both as json does. Strings are escaped as json's default ensure_ascii does.
 # The lines every row of the frame shares are formatted once.
-def _frame_rows(
-    frame: ReceptionFrame,
-    candidates: Iterator[tuple],
-    quote: Callable[[str], str],
-) -> Iterator[str]:
+def _frame_rows(frame: ReceptionFrame, candidates: Iterator[tuple]) -> Iterator[str]:
     p = frame.tx_position
     hop_origin = (
         f'      "hop_limit": {frame.hop_limit!r},\n'
-        f'      "origin": {quote(frame.origin)},\n'
+        f'      "origin": {encode_basestring_ascii(frame.origin)},\n'
     )
     packet_port = (
         f'      "packet_id": {frame.packet_id!r},\n'
-        f'      "port": {quote(frame.port)},\n'
+        f'      "port": {encode_basestring_ascii(frame.port)},\n'
     )
     time_tx_position = (
         f'      "time_s": {round(frame.end_s, 6)!r},\n'
-        f'      "transmitter": {quote(frame.transmitter)},\n'
+        f'      "transmitter": {encode_basestring_ascii(frame.transmitter)},\n'
         f'      "tx_altitude_m": {round(p.altitude_m, 3)!r},\n'
         f'      "tx_latitude": {round(p.latitude, 7)!r},\n'
         f'      "tx_longitude": {round(p.longitude, 7)!r}\n'
@@ -197,7 +184,7 @@ def _frame_rows(
             f"{hop_origin}"
             f'      "outcome": {_OUTCOME_JSON[outcome]},\n'
             f"{packet_port}"
-            f'      "receiver": {quote(rx)},\n'
+            f'      "receiver": {encode_basestring_ascii(rx)},\n'
             f'      "rssi_dbm": {round(rssi, 6)!r},\n'
             f'      "snr_db": {round(snr, 6)!r},\n'
             f"{time_tx_position}"
@@ -323,10 +310,9 @@ class SimReport:
             {**summary, "receptions": None}, indent=2, sort_keys=True
         ).partition('\n  "receptions": null')
         handle.write(head + '\n  "receptions": [')
-        quote = functools.cache(encode_basestring_ascii)  # few distinct strings
         sep = "\n"
         for frame, candidates in self.receptions.by_frame():
-            for row in _frame_rows(frame, candidates, quote):
+            for row in _frame_rows(frame, candidates):
                 handle.write(sep + row)
                 sep = ",\n"
         handle.write(("\n  ]" if self.receptions else "]") + tail + "\n")

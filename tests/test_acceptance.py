@@ -335,7 +335,7 @@ def test_09_byte_determinism(tmp_path):
         dirs = []
         for label in ("a", "b"):
             sc = factory()
-            report = engine.run(sc, collect_trace="trace" in sc.outputs)
+            report = engine.run(sc)
             out_dir = tmp_path / name / label
             write_outputs(report, sc, out_dir)
             dirs.append(out_dir)

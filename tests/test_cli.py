@@ -357,9 +357,10 @@ def test_control_character_is_usage_error(tmp_path, capsys, path, value, message
 
 def test_unparseable_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
-    assert "error" in capsys.readouterr().err
+    for text, message in (("{not json", "not valid JSON"), ("[]", "must be a JSON object")):
+        path.write_text(text)
+        assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_unknown_emit_kind_is_usage_error(tmp_path, capsys):
@@ -505,8 +506,19 @@ def test_gateway_without_deliveries_writes_empty_streams(tmp_path):
 def test_trace_without_events_writes_one_newline(tmp_path):
     scenario = k4_scenario().replace(outputs=frozenset({"summary", "trace"}))
     idle = SimReport(scenario_name="k4", seed=1, duration_s=60.0, trace=[])
-    uncollected = engine.run(scenario)  # collect_trace is off by default
-    assert uncollected.trace is None
+    uncollected = SimReport(scenario_name="k4", seed=1, duration_s=60.0, trace=None)
     for name, report in (("idle", idle), ("uncollected", uncollected)):
         write_outputs(report, scenario, tmp_path / name)
         assert (tmp_path / name / "trace.log").read_bytes() == b"\n"
+
+
+def test_library_run_keeps_the_trace_the_cli_writes(tmp_path):
+    # "trace" among the outputs is the one switch, through meshsim.run as
+    # through the CLI: both write the same trace.log, event line for line.
+    scenario = k4_scenario().replace(outputs=frozenset({"summary", "trace"}))
+    write_outputs(meshsim.run(scenario), scenario, tmp_path / "library")
+    cli_dir = tmp_path / "cli"
+    assert run_cli("--scenario", "k4", "--emit", "summary,trace", "--out-dir", str(cli_dir)) == 0
+    trace = (tmp_path / "library" / "trace.log").read_bytes()
+    assert trace == (cli_dir / "trace.log").read_bytes()
+    assert trace.count(b"\n") > 1

@@ -275,7 +275,9 @@ def test_start_while_busy_waits_for_the_radio():
             for t in texts
         ),
     )
-    report = engine.run(sc.replace(nodes=(node0,) + sc.nodes[1:]), collect_trace=True)
+    report = engine.run(
+        sc.replace(nodes=(node0,) + sc.nodes[1:], outputs=sc.outputs | {"trace"})
+    )
     end_ns = round(time_on_air_s(len(texts[0]), RadioConfig()) * 1e9)
     assert end_ns == 544_768_000
     starts = [line.split()[0] for line in report.trace if " TX_START node=node0 " in line]
@@ -408,9 +410,9 @@ def test_receiver_decides_with_its_own_radio():
 def test_fixed_shadow_override_is_deterministic():
     sc = line_scenario(count=2)
     sc = sc.replace(outputs=sc.outputs | {"report"})
-    base = engine.run(sc).receptions[0].rssi_dbm
+    base = list(engine.run(sc).receptions)[0].rssi_dbm
     shifted = sc.replace(links=(LinkOverride(a="node0", b="node1", shadow_db=7.0),))
-    rssi = engine.run(shifted).receptions[0].rssi_dbm
+    rssi = list(engine.run(shifted).receptions)[0].rssi_dbm
     assert rssi == pytest.approx(base - 7.0, abs=1e-9)
 
 
@@ -437,9 +439,10 @@ def test_receive_gain_comes_from_the_receiving_radio():
         d = node_distance_m(positions[tx], positions[rx])
         return 22.0 + gain_rx_dbi - (REFERENCE_LOSS_915_DB + 20.0 * math.log10(d))
 
-    first = [r for r in report.receptions if r.time_s == report.receptions[0].time_s]
+    receptions = list(report.receptions)
+    first = [r for r in receptions if r.time_s == receptions[0].time_s]
     assert {r.transmitter for r in first} == {"node0"}
-    before = {r.receiver: r for r in baseline.receptions[: len(first)]}
+    before = {r.receiver: r for r in list(baseline.receptions)[: len(first)]}
     for rec in first:
         if rec.receiver == "node2":
             assert rec.rssi_dbm == pytest.approx(oracle("node0", "node2", 6.0), abs=1e-9)
@@ -608,7 +611,8 @@ def test_app_emissions_wait_on_the_heap_one_at_a_time(monkeypatch):
 
 
 def test_trace_is_ordered_and_complete():
-    report = engine.run(campus_scenario(), collect_trace=True)
+    sc = campus_scenario()
+    report = engine.run(sc.replace(outputs=sc.outputs | {"trace"}))
     times = []
     seqs = []
     for line in report.trace:
@@ -624,8 +628,10 @@ def test_trace_is_ordered_and_complete():
 
 
 def test_same_seed_same_history():
-    a = engine.run(cumbre_scenario(), collect_trace=True)
-    b = engine.run(cumbre_scenario(), collect_trace=True)
+    sc = cumbre_scenario()
+    sc = sc.replace(outputs=sc.outputs | {"trace"})
+    a = engine.run(sc)
+    b = engine.run(sc)
     assert a.trace == b.trace
     assert a.summary_dict() == b.summary_dict()
 
@@ -635,8 +641,8 @@ def test_different_seed_different_history():
     sc = sc.replace(outputs=sc.outputs | {"report"})
     a = engine.run(sc)
     b = engine.run(sc.replace(seed=sc.seed + 1))
-    rssi_a = [r.rssi_dbm for r in a.receptions[:50]]
-    rssi_b = [r.rssi_dbm for r in b.receptions[:50]]
+    rssi_a = [r.rssi_dbm for r in list(a.receptions)[:50]]
+    rssi_b = [r.rssi_dbm for r in list(b.receptions)[:50]]
     assert rssi_a != rssi_b  # shadowing draws come from the seed
 
 

@@ -292,6 +292,12 @@ def test_radio_config_collects_all_problems():
     assert "spreading_factor" in message
     assert "coding_rate" in message
     assert "hop_limit" in message
+    with pytest.raises(ValueError) as exc:
+        RadioConfig(bandwidth_hz=0, frequency_hz=0, preamble_symbols=0)
+    assert str(exc.value) == (
+        "invalid RadioConfig: bandwidth_hz 0 must be positive; "
+        "frequency_hz 0 must be positive; preamble_symbols 0 must be >= 1"
+    )
 
 
 def test_environment_class_bounds():
@@ -309,6 +315,8 @@ def test_environment_class_bounds():
             reference_loss_db=31.7,
             shadowing_sigma_db=-1.0,
         )
+    with pytest.raises(ValueError, match="reference_loss_db 0 must be > 0"):
+        EnvironmentClass(terrain=Terrain.LOS_OPEN, path_loss_exponent=2.6, reference_loss_db=0)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))

@@ -156,6 +156,8 @@ def test_line_scenario_shape():
     assert frozenset(("node0", "node2")) in cut
     assert frozenset(("node0", "node1")) not in cut
     assert all(l.distance_m > 1e6 for l in sc.links)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        line_scenario(count=1)
 
 
 def test_k4_scenario_shape():
@@ -281,6 +283,9 @@ def test_radio_rejects_negative_noise_figure():
         RadioConfig(noise_figure_db=-3.0)
 
 
+_LOS = campus_scenario().default_env[0].env
+
+
 @pytest.mark.parametrize(
     "changes, expected",
     [
@@ -294,8 +299,38 @@ def test_radio_rejects_negative_noise_figure():
                 "tracker_route.waypoints[0]: latitude 200.0 outside -90..90",
             ],
         ),
+        (
+            {"nodes": (), "links": (), "outputs": frozenset({"summary"})},
+            ["nodes: at least one node is required"],
+        ),
+        (
+            {"default_env": (EnvBand(_LOS, max_distance_m=0.0), EnvBand(_LOS))},
+            ["default_env: max_distance_m values must be positive"],
+        ),
+        (
+            {
+                "default_env": (
+                    EnvBand(_LOS, max_distance_m=500.0),
+                    EnvBand(_LOS, max_distance_m=500.0),
+                    EnvBand(_LOS),
+                )
+            },
+            ["default_env: max_distance_m values must be increasing"],
+        ),
+        (
+            {"links": (LinkOverride(a="node1", b="node1"),)},
+            ["links[0] (node1->node1): a link needs two distinct nodes"],
+        ),
+        (
+            {"links": (LinkOverride(a="node1", b="node2", distance_m=0.5),)},
+            ["links[0] (node1->node2): distance_m 0.5 below 1 m reference"],
+        ),
+        ({"capture_threshold_db": -1.0}, ["capture_threshold_db: -1.0 must be >= 0"]),
     ],
-    ids=["epoch", "name", "region", "tracker-waypoint"],
+    ids=[
+        "epoch", "name", "region", "tracker-waypoint", "no-nodes", "band-not-positive",
+        "bands-not-increasing", "self-link", "link-below-1m", "negative-capture",
+    ],
 )
 def test_validate_holds_python_built_scenarios_to_file_ranges(changes, expected):
     # Built-ins, replace() and the CLI overrides never pass through the decoder.
@@ -408,8 +443,16 @@ def test_schema_rejects_unknown_position_key():
             {"time_s": 0.0, "longitude": 0.0},
             "tracker_route/waypoints/0: 'latitude' is a required property",
         ),
+        (
+            ("tracker_route", "waypoints"),
+            [],
+            "tracker_route: route needs at least one waypoint",
+        ),
     ],
-    ids=["bool-as-integer", "long-pair", "enum", "waypoint-extra-key", "waypoint-missing-key"],
+    ids=[
+        "bool-as-integer", "long-pair", "enum", "waypoint-extra-key", "waypoint-missing-key",
+        "route-without-waypoints",
+    ],
 )
 def test_decoder_reports_structure_with_paths(where, value, expected):
     obj = campus_scenario().to_dict()

@@ -41,6 +41,8 @@ def test_adc_range_enforced():
         adc_to_voltage(-1)
     with pytest.raises(ValueError):
         adc_to_voltage(4096)
+    with pytest.raises(ValueError, match="volts -0.001 must be >= 0"):
+        voltage_to_irradiance(-0.001)
 
 
 def test_sensor_scale_one_wm2_per_step():
@@ -145,6 +147,8 @@ def test_irradiance_decode_rejects_bad_lengths():
 def test_irradiance_battery_range():
     with pytest.raises(ValueError):
         encode_irradiance(IrradianceSample.from_adc(100, battery_soc=101))
+    with pytest.raises(ValueError, match="adc_raw 4096 outside 0..4095"):
+        encode_irradiance(IrradianceSample(adc_raw=4096, volts=0.0, irradiance_wm2=0.0))
 
 
 # --- daylight curve ----------------------------------------------------------
