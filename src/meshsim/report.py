@@ -153,12 +153,26 @@ def _record(
     )
 
 
+def _number(value: float, places: int, fixed: str) -> str:
+    """repr(round(value, places)); fixed is "%.<places>f".
+
+    For a float with 1e-4 <= |value| < 1e8, fixed % value runs round()'s own
+    correctly rounded conversion, and its at most 15 significant digits are
+    already the shortest repr. Ints, zero, tiny, huge and non-finite values
+    go through round and repr.
+    """
+    if type(value) is float and 1e-4 <= abs(value) < 1e8:
+        text = (fixed % value).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(value, places))
+
+
 # One frame's reception rows as json.dumps(indent=2, sort_keys=True) prints
 # them inside the "receptions" list: times, powers and distances rounded to 6
 # places, latitude and longitude to 7, altitude to 3. A number field may hold
-# an int (an altitude or a distance given as 100): repr(round(v, k)) prints
-# both as json does. Strings are escaped as json's default ensure_ascii does.
-# The lines every row of the frame shares are formatted once.
+# an int (an altitude or a distance given as 100); _number prints each number
+# as json prints repr(round(v, k)). Strings are escaped as json's default
+# ensure_ascii does. The lines every row of the frame shares are formatted once.
 def _frame_rows(frame: ReceptionFrame, candidates: Iterator[tuple]) -> Iterator[str]:
     p = frame.tx_position
     hop_origin = (
@@ -170,23 +184,23 @@ def _frame_rows(frame: ReceptionFrame, candidates: Iterator[tuple]) -> Iterator[
         f'      "port": {encode_basestring_ascii(frame.port)},\n'
     )
     time_tx_position = (
-        f'      "time_s": {round(frame.end_s, 6)!r},\n'
+        f'      "time_s": {_number(frame.end_s, 6, "%.6f")},\n'
         f'      "transmitter": {encode_basestring_ascii(frame.transmitter)},\n'
-        f'      "tx_altitude_m": {round(p.altitude_m, 3)!r},\n'
-        f'      "tx_latitude": {round(p.latitude, 7)!r},\n'
-        f'      "tx_longitude": {round(p.longitude, 7)!r}\n'
+        f'      "tx_altitude_m": {_number(p.altitude_m, 3, "%.3f")},\n'
+        f'      "tx_latitude": {_number(p.latitude, 7, "%.7f")},\n'
+        f'      "tx_longitude": {_number(p.longitude, 7, "%.7f")}\n'
         "    }"
     )
     for rx, rssi, snr, distance, outcome in candidates:
         yield (
             "    {\n"
-            f'      "distance_m": {round(distance, 6)!r},\n'
+            f'      "distance_m": {_number(distance, 6, "%.6f")},\n'
             f"{hop_origin}"
             f'      "outcome": {_OUTCOME_JSON[outcome]},\n'
             f"{packet_port}"
             f'      "receiver": {encode_basestring_ascii(rx)},\n'
-            f'      "rssi_dbm": {round(rssi, 6)!r},\n'
-            f'      "snr_db": {round(snr, 6)!r},\n'
+            f'      "rssi_dbm": {_number(rssi, 6, "%.6f")},\n'
+            f'      "snr_db": {_number(snr, 6, "%.6f")},\n'
             f"{time_tx_position}"
         )
 

@@ -324,8 +324,10 @@ class Scenario:
             v.append(
                 f"outputs: {sorted(needs_gateway)} require at least one GATEWAY node"
             )
-        if self.capture_threshold_db < 0:
+        if not self.capture_threshold_db >= 0:  # NaN fails it too
             v.append(f"capture_threshold_db: {self.capture_threshold_db} must be >= 0")
+        elif self.capture_threshold_db == math.inf:
+            v.append("capture_threshold_db: inf must be finite")
         return v
 
     def _emissions(self) -> float:

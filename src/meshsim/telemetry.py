@@ -53,10 +53,15 @@ class AppSchedule:
         if self.period_s == 0.0 and self.port in DEFAULT_PERIODS_S:
             object.__setattr__(self, "period_s", DEFAULT_PERIODS_S[self.port])
         problems = []
-        if self.period_s <= 0:
+        # Written so that NaN fails each comparison.
+        if not self.period_s > 0:
             problems.append(f"period_s {self.period_s} must be positive")
-        if self.start_offset_s < 0:
+        elif self.period_s == math.inf:
+            problems.append("period_s inf must be finite")
+        if not self.start_offset_s >= 0:
             problems.append(f"start_offset_s {self.start_offset_s} must be >= 0")
+        elif self.start_offset_s == math.inf:
+            problems.append("start_offset_s inf must be finite")
         if problems:
             raise ValueError("invalid AppSchedule: " + "; ".join(problems))
 

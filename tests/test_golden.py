@@ -99,6 +99,18 @@ def test_builtin_outputs_match_golden(name, tmp_path):
     assert got == GOLDEN[name]
 
 
+# sha256 of report.json from campus over 24 h, seed 1, with its built-in
+# outputs: the benchmark's campus-day run, whose largest file this is
+# (34,580 rows, 14.6 MB).
+CAMPUS_DAY_REPORT = "f2893bae417aa4fc216884199f9cd7727ec32e99e00faefcdf9e0ab81d6756c8"
+
+
+def test_campus_day_report_matches_golden(tmp_path):
+    sc = BUILTIN_SCENARIOS["campus"]().replace(duration_s=86_400.0, seed=1)
+    write_outputs(engine.run(sc), sc, tmp_path)
+    assert _sha256((tmp_path / "report.json").read_bytes()) == CAMPUS_DAY_REPORT
+
+
 # sha256 of json.dumps(engine.run(_crowded_grid()).to_dict(), sort_keys=True).
 CROWDED_GRID_REPORT = "95015c056a096f01437c7635d503b3968f48e64e2e9dd973f23051b71caf1991"
 

@@ -12,7 +12,9 @@ them.
 
 import io
 import json
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from meshsim.report import (
     ReceptionRecord,
     SimReport,
 )
+from meshsim.report import _number as number_text
 from meshsim.geo import LatLonAlt
 from meshsim.mesh import Port
 from meshsim.scenarios import line_scenario
@@ -143,3 +146,56 @@ def test_int_distance_and_altitude_keep_their_spelling(tmp_path):
     assert pinned and all(type(r["distance_m"]) is int for r in pinned)
     sent = [r for r in rows if r["transmitter"] == "node0"]
     assert sent and all(type(r["tx_altitude_m"]) is int for r in sent)
+
+
+# _number must print exactly what repr(round(x, k)) prints, at every place
+# count a row uses. Its fast path covers floats with 1e-4 <= |x| < 1e8, so the
+# draws include that range and a decade past each bound, and the pinned values
+# cover the bounds, their neighbours and the halfway cases.
+_PLACES = (3, 6, 7)
+
+
+def _halfway(k: int) -> list[float]:
+    values = []
+    for n in (0, 1, 2, 4, 12, 2674, 123456, 99999999 * 10**k):
+        for mid in ((n + 0.5) / 10**k, -(n + 0.5) / 10**k):
+            values += [mid, math.nextafter(mid, -math.inf), math.nextafter(mid, math.inf)]
+    return values
+
+
+_PINNED = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072009e-308,
+    0.00009999995,
+    -0.00009999995,
+    2.675,
+    -2.675,
+    # Past the fast path's upper bound, 7 places give 16 significant digits,
+    # and "%.7f" prints 946661070.0240999 where repr prints 946661070.0241.
+    946661070.0241,
+    *(
+        y
+        for bound in (1e-4, 1e8, -1e-4, -1e8)
+        for y in (bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))
+    ),
+]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    value=st.floats()
+    | st.floats(1e-5, 1e9).flatmap(lambda x: st.sampled_from([x, -x]))
+    | st.integers(),
+    places=st.sampled_from(_PLACES),
+)
+def test_number_matches_repr_of_round(value, places):
+    assert number_text(value, places, f"%.{places}f") == repr(round(value, places))
+
+
+@pytest.mark.parametrize("places", _PLACES)
+def test_number_matches_repr_of_round_at_pinned_values(places):
+    for value in _PINNED + _halfway(places):
+        assert number_text(value, places, f"%.{places}f") == repr(round(value, places)), value

@@ -326,10 +326,13 @@ _LOS = campus_scenario().default_env[0].env
             ["links[0] (node1->node2): distance_m 0.5 below 1 m reference"],
         ),
         ({"capture_threshold_db": -1.0}, ["capture_threshold_db: -1.0 must be >= 0"]),
+        ({"capture_threshold_db": math.nan}, ["capture_threshold_db: nan must be >= 0"]),
+        ({"capture_threshold_db": math.inf}, ["capture_threshold_db: inf must be finite"]),
     ],
     ids=[
         "epoch", "name", "region", "tracker-waypoint", "no-nodes", "band-not-positive",
         "bands-not-increasing", "self-link", "link-below-1m", "negative-capture",
+        "nan-capture", "infinite-capture",
     ],
 )
 def test_validate_holds_python_built_scenarios_to_file_ranges(changes, expected):

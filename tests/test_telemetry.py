@@ -254,6 +254,23 @@ def test_schedule_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("period_s", math.inf, "period_s inf must be finite"),
+        ("period_s", math.nan, "period_s nan must be positive"),
+        ("start_offset_s", math.inf, "start_offset_s inf must be finite"),
+        ("start_offset_s", math.nan, "start_offset_s nan must be >= 0"),
+    ],
+)
+def test_schedule_rejects_non_finite_times(field, value, message):
+    # An infinite period would crash the run at its first emission (0 * inf),
+    # and a NaN one would make validate() raise instead of listing a problem.
+    times = {"period_s": 10.0, field: value}
+    with pytest.raises(ValueError, match=f"^invalid AppSchedule: {message}$"):
+        AppSchedule(Port.TEXT_MESSAGE_APP, PayloadSource.TEXT_FIXED, **times)
+
+
 # Integer-valued times keep the float arithmetic exact, so the closed
 # form and plain enumeration must agree everywhere in the range.
 @given(
