@@ -15,8 +15,8 @@ time and the tracemalloc peak of the whole batch and its summed counts.
 A final line measures the writers: the built-in campus over 86400 s with
 every output kind, run once, then cli.write_outputs on that report three
 times for the median wall time and once more under tracemalloc for its
-peak above the heap the run left, with the delivery count and the bytes
-written. The last line follows the output that grows with frames x
+peak above the heap the run left, each call into a fresh directory, with
+the count of uplinked gateway receptions and the bytes written. The last line follows the output that grows with frames x
 nodes: the 8x8 grid over 3600 s with summary and report.json, run and
 written once for the wall times, then once more under tracemalloc for
 the peak of run and write together, with the candidate count and the
@@ -76,18 +76,22 @@ def measure(batch: list[scenarios.Scenario]) -> dict:
 
 def measure_write(scenario: scenarios.Scenario) -> dict:
     """Median wall time of REPEATS write_outputs calls on one report, then
-    the tracemalloc peak of one more above the heap it starts from."""
+    the tracemalloc peak of one more above the heap it starts from.
+
+    Each call writes into a directory of its own: replacing the files of
+    an earlier call makes the file system flush them on close, which
+    would time the disk rather than the writers.
+    """
     report = engine.run(scenario)
     times = []
     with tempfile.TemporaryDirectory() as tmp:
-        out_dir = Path(tmp)
-        for _ in range(REPEATS):
+        for i in range(REPEATS):
             t0 = time.perf_counter()
-            written = cli.write_outputs(report, scenario, out_dir)
+            written = cli.write_outputs(report, scenario, Path(tmp) / str(i))
             times.append(time.perf_counter() - t0)
         tracemalloc.start()
         start = tracemalloc.get_traced_memory()[0]
-        cli.write_outputs(report, scenario, out_dir)
+        cli.write_outputs(report, scenario, Path(tmp) / "traced")
         peak = tracemalloc.get_traced_memory()[1] - start
         tracemalloc.stop()
         size = sum(path.stat().st_size for path in written)
@@ -98,7 +102,7 @@ def measure_write(scenario: scenarios.Scenario) -> dict:
         "write_s": statistics.median(times),
         "write_s_all": times,
         "write_tracemalloc_peak_mb": peak / 2**20,
-        "deliveries": len(report.gateway_deliveries),
+        "deliveries": sum(rec.uplinked for rec in report.gateway_receptions),
         "bytes_written": size,
     }
 

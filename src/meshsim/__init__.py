@@ -38,7 +38,7 @@ from .phy import (
     time_on_air_s,
 )
 from .report import (
-    GatewayDelivery,
+    GatewayReception,
     ReceptionOutcome,
     ReceptionRecord,
     SimReport,
@@ -69,7 +69,7 @@ __all__ = [
     "DiurnalProfile",
     "EnvironmentClass",
     "ExponentFit",
-    "GatewayDelivery",
+    "GatewayReception",
     "IrradianceSample",
     "LatLonAlt",
     "MeshPacket",

@@ -150,12 +150,12 @@ def write_outputs(
             gateway.reception_map_csv(report, scenario, create("map.csv"))
         if "map_kml" in outputs:
             gateway.reception_map_kml(report, scenario, create("map.kml"))
-        # One delivery at a time: its uplink, JSON line and series points are
-        # written before the next is built, so memory does not grow with the run.
-        # A run keeps deliveries only when uplinks or series is an output.
+        # One uplinked gateway reception at a time: its uplink, JSON line and
+        # series points are written before the next is built, so memory does
+        # not grow with the run. The maps above wrote every reception.
         uplinks = create("uplinks.ndjson") if "uplinks" in outputs else None
         series = create("series.lp") if "series" in outputs else None
-        for delivery in report.gateway_deliveries:
+        for delivery in (rec for rec in report.gateway_receptions if rec.uplinked):
             uplink = gateway.uplink_from_delivery(
                 delivery, region=scenario.region, epoch_s=scenario.epoch_s
             )
@@ -164,7 +164,7 @@ def write_outputs(
             if series is not None:
                 records = gateway.uplink_to_series(uplink)
                 series.write(gateway.serialize_line_protocol(records) + "\n")
-        if series is not None and not report.gateway_deliveries:
+        if series is not None and not any(rec.uplinked for rec in report.gateway_receptions):
             series.write("\n")  # what serialize_line_protocol([]) + "\n" gives
     return written
 

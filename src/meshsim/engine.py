@@ -14,10 +14,10 @@ is drawn in exact pairs, with random.gauss's own formula, so a frame
 takes just the normals it needs and the stream matches gauss bit for
 bit. A frame carries only its RSSI per receiver; its packet rides on
 its TX_END event, and that event's time is the frame's only end time:
-the decodes, the map rows and report.json's rows all read it. A decode
-reaches the router as an RxMetadata, and a ReceptionRecord is built only
-for a map row, a gateway's decode while a map is an output; the rows
-are kept in judge order, which the maps write as is. When the scenario
+the decodes, the gateway rows and report.json's rows all read it. A
+decode reaches the router as an RxMetadata; while a gateway output is
+asked for, a decode at a gateway also adds a GatewayReception with it
+and whether the router uplinked it, in judge order. When the scenario
 asks for report.json, each frame's end adds one header and each
 candidate its RSSI, outcome byte and distance to the report's
 ReceptionLog, which holds the rows. The summary's figures are folded
@@ -61,16 +61,16 @@ from .phy import (
     time_on_air_s,
 )
 from .report import (
-    GatewayDelivery,
+    GatewayReception,
     LinkSums,
     ReceptionFrame,
     ReceptionLog,
     ReceptionOutcome,
-    ReceptionRecord,
     SimReport,
 )
 from .scenarios import (
     NS_PER_S,
+    GATEWAY_OUTPUTS,
     EnvBand,
     LinkOverride,
     NodeSpec,
@@ -383,14 +383,11 @@ class _Simulation:
             trace=[] if collect_trace or "trace" in scenario.outputs else None,
         )
         # A store is kept only for the outputs that read it: the trace for
-        # trace.log, every candidate for report.json, the gateway receptions
-        # for the maps and the gateway deliveries for uplinks and series.
+        # trace.log, every candidate for report.json, and the gateway
+        # receptions for the maps, uplinks and series.
         outputs = scenario.outputs
         self.gateway_receptions = (
-            self.report.gateway_receptions if outputs & {"map_csv", "map_kml"} else None
-        )
-        self.gateway_deliveries = (
-            self.report.gateway_deliveries if outputs & {"uplinks", "series"} else None
+            self.report.gateway_receptions if outputs & GATEWAY_OUTPUTS else None
         )
         self.nodes: dict[str, _NodeRuntime] = {}
         for spec in scenario.nodes:
@@ -615,12 +612,12 @@ class _Simulation:
             sums.frames += 1
             sums.rssi_dbm += rssi
             sums.snr_db += snr
+            meta = RxMetadata(now_s, rssi, snr)
+            uplinked = self.deliver(rx, meta, packet, event.time_ns)
             if gateway_receptions is not None and rx in self.gateways:
-                gateway_receptions.append(ReceptionRecord(
-                    now_s, tx, rx, packet.origin, packet.packet_id, packet.port.value,
-                    packet.hop_limit, rssi, snr, distance, outcome, frame.tx_position,
+                gateway_receptions.append(GatewayReception(
+                    rx, packet, meta, tx, distance, frame.tx_position, uplinked
                 ))
-            self.deliver(rx, RxMetadata(now_s, rssi, snr), packet, event.time_ns)
         if outcomes is not None:
             self.log.add_frame(
                 ReceptionFrame(
@@ -638,7 +635,9 @@ class _Simulation:
         # Frames that overlapped point at each other; break the cycle.
         rivals.clear()
 
-    def deliver(self, receiver: str, meta: RxMetadata, packet: MeshPacket, now_ns: int) -> None:
+    def deliver(self, receiver: str, meta: RxMetadata, packet: MeshPacket, now_ns: int) -> bool:
+        """Apply the receiver's actions; True when it uplinked the packet."""
+        uplinked = False
         for action in self.nodes[receiver].state.on_receive(packet, meta):
             kind = action.kind
             if kind is _DROP_DUPLICATE:
@@ -649,13 +648,11 @@ class _Simulation:
                 self.report.hop_count_histogram[initial - packet.hop_limit + 1] += 1
             elif kind is _EMIT_UPLINK:
                 self.report.delivered_to_gateway[packet.origin] += 1
-                if self.gateway_deliveries is not None:
-                    self.gateway_deliveries.append(
-                        GatewayDelivery(receiver, packet, meta)
-                    )
+                uplinked = True
             elif kind is _SCHEDULE_REBROADCAST:
                 fire_ns = now_ns + round(action.delay_s * NS_PER_S)
                 self.push(fire_ns, _REBROADCAST_FIRE, receiver, packet=action.packet)
+        return uplinked
 
     def finish(self) -> None:
         for nid, rt in self.nodes.items():

@@ -26,7 +26,7 @@ from typing import Any, Iterable, TextIO
 
 from .geo import geo_to_local
 from .mesh import NodeRole, Port
-from .report import GatewayDelivery, SimReport
+from .report import GatewayReception, SimReport
 from .scenarios import NS_PER_S, Scenario
 from .telemetry import CodecError, decode_irradiance, decode_position
 from .phy import round_half_away_from_zero, snr_raw_decode, snr_raw_encode
@@ -112,11 +112,11 @@ def _decode_payload(port: str, payload: bytes) -> dict[str, Any]:
 
 
 def uplink_from_delivery(
-    delivery: GatewayDelivery,
+    delivery: GatewayReception,
     region: str = "US",
     epoch_s: int = 0,
 ) -> UplinkMessage:
-    """Build the JSON uplink for a packet the gateway delivered upstream.
+    """Build the JSON uplink for a packet the gateway uplinked.
 
     RSSI is reported as an integer dBm and SNR on the quarter-dB grid the
     radio itself reports, so the uplink only claims the precision the
@@ -269,12 +269,12 @@ def reception_map_csv(report: SimReport, scenario: Scenario, handle: TextIO) -> 
     write = handle.write
     write(_MAP_COLUMNS + "\n")
     for rec in report.gateway_receptions:
-        x_m, y_m = geo_to_local(rec.tx_position, gateways[rec.receiver])
-        rssi = rec.rssi_dbm
+        x_m, y_m = geo_to_local(rec.tx_position, gateways[rec.gateway_id])
+        time_s, rssi, snr = rec.rx
         write(
-            f"{rec.time_s:.6f},{_csv_field(rec.transmitter)},{x_m:.3f},{y_m:.3f},"
-            f"{rec.distance_m:.3f},{rssi:.3f},{rec.snr_db:.3f},"
-            f"{classify_rssi(rssi)},{rec.port}\n"
+            f"{time_s:.6f},{_csv_field(rec.transmitter)},{x_m:.3f},{y_m:.3f},"
+            f"{rec.distance_m:.3f},{rssi:.3f},{snr:.3f},"
+            f"{classify_rssi(rssi)},{rec.packet.port.value}\n"
         )
 
 
@@ -302,13 +302,13 @@ def reception_map_kml(report: SimReport, scenario: Scenario, handle: TextIO) -> 
             "</IconStyle></Style>\n"
         )
     for rec in report.gateway_receptions:
-        pos = rec.tx_position
+        pos, rx = rec.tx_position, rec.rx
         write(
             "<Placemark>"
-            f"<name>{_xml_text(rec.transmitter)} t={rec.time_s:.1f}s</name>"
-            f"<description>rssi={rec.rssi_dbm:.1f} dBm "
-            f"snr={rec.snr_db:.2f} dB port={rec.port}</description>"
-            f"<styleUrl>#{classify_rssi(rec.rssi_dbm)}</styleUrl>"
+            f"<name>{_xml_text(rec.transmitter)} t={rx.time_s:.1f}s</name>"
+            f"<description>rssi={rx.rssi_dbm:.1f} dBm "
+            f"snr={rx.snr_db:.2f} dB port={rec.packet.port.value}</description>"
+            f"<styleUrl>#{classify_rssi(rx.rssi_dbm)}</styleUrl>"
             f"<Point><coordinates>{pos.longitude:.7f},{pos.latitude:.7f},"
             f"{pos.altitude_m:.1f}</coordinates></Point>"
             "</Placemark>\n"

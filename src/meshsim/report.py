@@ -4,12 +4,12 @@ The engine fills one SimReport per run: the summary's figures, folded
 in as each candidate is judged, and the lists that only some outputs
 read. summary_dict() is summary.json's document. report.json's rows
 are held in one ReceptionLog: a header per frame and, per candidate,
-only its RSSI, its outcome and its distance, so the engine builds a
-ReceptionRecord only for a map row. write_json streams report.json: the
-summary through json.dumps, then each reception row straight from the
-log through one template, so no row dict, no record and no whole
-document is built. That template is the only description of a row;
-to_dict() parses the written bytes back.
+only its RSSI, its outcome and its distance; reading it builds
+ReceptionRecords. write_json streams report.json: the summary through
+json.dumps, then each reception row straight from the log through one
+template, so no row dict, no record and no whole document is built.
+That template is the only description of a row; to_dict() parses the
+written bytes back.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .geo import LatLonAlt
 from .mesh import MeshPacket, RxMetadata
 
 __all__ = [
-    "GatewayDelivery",
+    "GatewayReception",
     "LinkSums",
     "ReceptionFrame",
     "ReceptionLog",
@@ -205,12 +205,16 @@ def _frame_rows(frame: ReceptionFrame, candidates: Iterator[tuple]) -> Iterator[
         )
 
 
-class GatewayDelivery(NamedTuple):
-    """A packet that reached a gateway's application layer, at rx.time_s."""
+class GatewayReception(NamedTuple):
+    """A frame a gateway decoded, at rx.time_s; uplinked if its router passed it upstream."""
 
     gateway_id: str
     packet: MeshPacket
     rx: RxMetadata
+    transmitter: str
+    distance_m: float
+    tx_position: LatLonAlt
+    uplinked: bool
 
 
 @dataclass(slots=True)
@@ -234,17 +238,17 @@ class SimReport:
     the hop histogram. The lists are filled only for the outputs that
     read them, so a run without those outputs keeps them empty and its
     memory does not grow with its length: receptions logs every
-    candidate when "report" is an output; gateway_receptions the
-    candidates a GATEWAY decoded, in judge order, when "map_csv" or
-    "map_kml" is; gateway_deliveries each packet a gateway uplinked when
-    "uplinks" or "series" is.
+    candidate when "report" is an output; gateway_receptions holds every
+    frame a GATEWAY decoded, in judge order, when any gateway output
+    (the maps, uplinks or series) is. The maps write every row, the
+    uplinks and series only the uplinked ones.
     """
 
     scenario_name: str
     seed: int
     duration_s: float
     receptions: ReceptionLog = field(default_factory=ReceptionLog)
-    gateway_receptions: list[ReceptionRecord] = field(default_factory=list)
+    gateway_receptions: list[GatewayReception] = field(default_factory=list)
     transmissions: int = 0
     decoded: int = 0
     collided: int = 0
@@ -257,7 +261,6 @@ class SimReport:
     app_deliveries: Counter = field(default_factory=Counter)
     hop_count_histogram: Counter = field(default_factory=Counter)
     airtime_busy_fraction: dict[str, float] = field(default_factory=dict)
-    gateway_deliveries: list[GatewayDelivery] = field(default_factory=list)
     trace: list[str] | None = None
 
     def link_stats(self) -> dict[str, dict[str, float]]:

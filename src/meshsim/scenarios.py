@@ -250,15 +250,19 @@ class Scenario:
                     f"duration_s: {self.duration_s} s asks for more than"
                     f" {MAX_EMISSIONS} app emissions in total"
                 )
-            # A position fix carries its time as unsigned 32-bit seconds.
-            if self.epoch_s + math.ceil(self.duration_s) >= 1 << 32 and any(
-                app.payload_source is PayloadSource.GNSS_TRACKER
-                for n in self.nodes
-                for app in n.apps
+            # A position fix and an uplink's rx_time (a fixed32 in Meshtastic's
+            # mesh.proto) carry their time as unsigned 32-bit seconds.
+            elif self.epoch_s + math.ceil(self.duration_s) >= 1 << 32 and (
+                self.outputs & {"uplinks", "series"}
+                or any(
+                    app.payload_source is PayloadSource.GNSS_TRACKER
+                    for n in self.nodes
+                    for app in n.apps
+                )
             ):
                 v.append(
                     f"epoch_s: {self.epoch_s} plus duration_s {self.duration_s} reaches"
-                    " 2**32 s, past a position fix's unsigned 32-bit time"
+                    " 2**32 s, past a fix's or an uplink's unsigned 32-bit time"
                 )
         if self.seed < 0:
             v.append(f"seed: {self.seed} must be a non-negative integer")
@@ -270,6 +274,7 @@ class Scenario:
         if not self.nodes:
             v.append("nodes: at least one node is required")
         seen: set[str] = set()
+        maps = self.outputs & {"map_csv", "map_kml"}
         for i, node in enumerate(self.nodes):
             where = f"nodes[{i}]"
             if printable(f"{where}: id", node.id):
@@ -282,6 +287,11 @@ class Scenario:
             seen.add(node.id)
             check_position(where, node.position)
             check_route(f"{where}.route", node.route)
+            if node.role is NodeRole.GATEWAY and node.route is not None and maps:
+                v.append(
+                    f"{where}: a GATEWAY on a route cannot write {sorted(maps)},"
+                    " which place rows around its fixed position"
+                )
             for j, app in enumerate(node.apps):
                 if app.payload_source is not PayloadSource.TEXT_FIXED:
                     continue

@@ -298,7 +298,8 @@ def test_08_day_long_campus_soak():
     pdr = report.pdr()
     uplinks = [
         uplink_from_delivery(d, region=sc.region, epoch_s=sc.epoch_s)
-        for d in report.gateway_deliveries
+        for d in report.gateway_receptions
+        if d.uplinked
     ]
     records = [r for u in uplinks for r in uplink_to_series(u)]
     irradiance = [r for r in records if r.measurement == "irradiance"]

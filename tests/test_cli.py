@@ -15,7 +15,13 @@ import meshsim
 from meshsim import engine
 from meshsim.cli import main, write_outputs
 from meshsim.report import SimReport
-from meshsim.scenarios import MAX_EMISSIONS, campus_scenario, k4_scenario, line_scenario
+from meshsim.scenarios import (
+    GATEWAY_OUTPUTS,
+    MAX_EMISSIONS,
+    campus_scenario,
+    k4_scenario,
+    line_scenario,
+)
 
 
 def run_cli(*argv):
@@ -251,6 +257,41 @@ def test_too_many_emissions_is_usage_error(tmp_path):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_gateway_on_a_route_under_a_map_is_usage_error(tmp_path, capsys):
+    obj = k4_scenario().to_dict()
+    gw = obj["nodes"][3]
+    gw["route"] = {"waypoints": [{"time_s": 0.0, **gw["position"]}]}
+    path = tmp_path / "moving_gateway.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path / "maps")) == 2
+    assert capsys.readouterr().err == (
+        "error: nodes[3] (node3): a GATEWAY on a route cannot write ['map_csv'],"
+        " which place rows around its fixed position\n"
+    )
+    assert not (tmp_path / "maps").exists()
+    obj["outputs"] = ["summary", "uplinks"]
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "uplinks"
+    assert run_cli("--scenario", str(path), "--out-dir", str(out)) == 0
+    assert (out / "uplinks.ndjson").read_text(encoding="utf-8").count("\n") == 1
+
+
+def test_uplink_time_past_32_bits_is_usage_error(tmp_path, capsys):
+    # An uplink's timestamp is Meshtastic's rx_time, a fixed32: epoch_s + int(t).
+    obj = k4_scenario().to_dict()
+    last_epoch = 2**32 - 1 - math.ceil(obj["duration_s"])
+    for epoch_s, code in ((last_epoch, 0), (last_epoch + 1, 2)):
+        obj["epoch_s"] = epoch_s
+        path = tmp_path / f"epoch{epoch_s}.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / str(epoch_s)
+        assert run_cli("--scenario", str(path), "--out-dir", str(out)) == code
+    assert capsys.readouterr().err.startswith(f"error: epoch_s: {last_epoch + 1} plus duration_s")
+    (line,) = (tmp_path / str(last_epoch) / "uplinks.ndjson").read_text().splitlines()
+    assert json.loads(line)["body"]["timestamp"] < 2**32
+    assert not (tmp_path / str(last_epoch + 1)).exists()
+
+
 def test_empty_fixed_text_is_usage_error(tmp_path, capsys):
     obj = k4_scenario().to_dict()
     for node in obj["nodes"]:
@@ -469,7 +510,7 @@ def _write_peak_bytes(scenario, out_dir):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return len(report.gateway_deliveries), peak - start
+    return sum(rec.uplinked for rec in report.gateway_receptions), peak - start
 
 
 def test_uplink_and_series_memory_does_not_grow_with_deliveries(tmp_path):
@@ -496,11 +537,31 @@ def test_gateway_without_deliveries_writes_empty_streams(tmp_path):
     # The flood's hop budget runs out before the gateway at the end of the line.
     scenario = line_scenario(count=5).replace(outputs=frozenset({"summary", "uplinks", "series"}))
     report = engine.run(scenario)
-    assert report.gateway_deliveries == []
+    assert not any(rec.uplinked for rec in report.gateway_receptions)
     written = write_outputs(report, scenario, tmp_path)
     assert [p.name for p in written] == ["summary.json", "uplinks.ndjson", "series.lp"]
     assert (tmp_path / "uplinks.ndjson").read_bytes() == b""
     assert (tmp_path / "series.lp").read_bytes() == b"\n"
+
+
+def test_gateway_outputs_read_one_store(tmp_path):
+    # k4's gateway decodes the packet twice, from node0 and from a
+    # rebroadcast; only the first copy is uplinked. The maps write both.
+    scenario = k4_scenario().replace(outputs=GATEWAY_OUTPUTS | {"summary"})
+    report = engine.run(scenario)
+    rows = report.gateway_receptions
+    assert len(rows) == 2
+    assert [rec.uplinked for rec in rows] == [True, False]
+    write_outputs(report, scenario, tmp_path)
+    with open(tmp_path / "map.csv", newline="", encoding="utf-8") as handle:
+        assert len(list(csv.DictReader(handle))) == 2
+    assert (tmp_path / "map.kml").read_text(encoding="utf-8").count("<Placemark>") == 2
+    assert (tmp_path / "uplinks.ndjson").read_text(encoding="utf-8").count("\n") == 1
+    # Any one gateway output keeps the same store; none keeps it empty.
+    for kind in GATEWAY_OUTPUTS:
+        alone = scenario.replace(outputs=frozenset({"summary", kind}))
+        assert engine.run(alone).gateway_receptions == rows
+    assert engine.run(scenario.replace(outputs=frozenset({"summary"}))).gateway_receptions == []
 
 
 def test_trace_without_events_writes_one_newline(tmp_path):

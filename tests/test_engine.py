@@ -340,7 +340,7 @@ def test_airtime_clipped_to_duration():
 
 def test_gateway_delivery_carries_rx_metadata():
     report = engine.run(k4_scenario())
-    (delivery,) = report.gateway_deliveries
+    (delivery,) = [rec for rec in report.gateway_receptions if rec.uplinked]
     assert delivery.gateway_id == "node3"
     assert delivery.packet.origin == "node0"
     assert delivery.rx.rssi_dbm < 0

@@ -24,7 +24,7 @@ from meshsim.gateway import (
 from meshsim.geo import LatLonAlt, offset_position
 from meshsim.mesh import MeshPacket, NodeRole, Port, RxMetadata
 from meshsim.phy import EnvironmentClass, Terrain
-from meshsim.report import GatewayDelivery
+from meshsim.report import GatewayReception
 from meshsim.scenarios import (
     REFERENCE_LOSS_915_DB,
     EnvBand,
@@ -46,10 +46,14 @@ def delivery_for(port, payload, time_s=12.5, rssi=-96.4, snr=3.1):
     packet = MeshPacket(
         origin="node1", packet_id=77, port=port, hop_limit=1, payload=payload
     )
-    return GatewayDelivery(
+    return GatewayReception(
         gateway_id="node4",
         packet=packet,
         rx=RxMetadata(time_s=time_s, rssi_dbm=rssi, snr_db=snr),
+        transmitter="node1",
+        distance_m=150.0,
+        tx_position=LatLonAlt(-0.2, -78.5, 2560.0),
+        uplinked=True,
     )
 
 
@@ -383,7 +387,7 @@ def test_map_csv_quotes_ids_as_the_csv_module_reads_them():
         assert None not in row  # no row spilled over the nine columns
         assert row["node"] == rec.transmitter
         assert row["bucket"] in {"GREEN", "ORANGE", "RED"}
-        assert row["port"] == rec.port
+        assert row["port"] == rec.packet.port.value
     assert HOSTILE_IDS[0] in {row["node"] for row in rows}
 
 
@@ -436,8 +440,8 @@ def test_maps_keep_judge_order_when_frames_end_together():
     )
     report = engine.run(sc)
     first, second = report.gateway_receptions[:2]
-    assert first.time_s == second.time_s
-    assert [(r.transmitter, r.receiver) for r in (first, second)] == [
+    assert first.rx.time_s == second.rx.time_s
+    assert [(r.transmitter, r.gateway_id) for r in (first, second)] == [
         ("b_sender", "b_gw"),
         ("a_sender", "a_gw"),
     ]

@@ -235,6 +235,28 @@ def test_validate_oversized_text_app():
     assert any("text exceeds" in v for v in bad.validate())
 
 
+def _k4_with_gateway_on_route(outputs):
+    """k4 with its gateway, node3, on a one-waypoint route 150 m north of its position."""
+    sc = k4_scenario()
+    gw = sc.nodes[3]
+    route = Route(waypoints=(Waypoint(0.0, offset_position(gw.position, 0.0, 150.0)),))
+    nodes = (*sc.nodes[:3], replace(gw, route=route))
+    return sc.replace(nodes=nodes, outputs=frozenset({"summary", *outputs}))
+
+
+def test_validate_rejects_a_gateway_on_a_route_under_a_map():
+    # The maps place each row around the gateway's fixed position, while the
+    # row's distance follows its route: node0's row would print x,y =
+    # (-200, -200), 283 m away, beside a distance of 403 m.
+    for maps in (["map_csv"], ["map_kml"], ["map_csv", "map_kml"]):
+        assert _k4_with_gateway_on_route(maps).validate() == [
+            f"nodes[3] (node3): a GATEWAY on a route cannot write {maps},"
+            " which place rows around its fixed position"
+        ]
+    # Uplinks and series carry no position of the gateway.
+    assert _k4_with_gateway_on_route(["uplinks", "series"]).validate() == []
+
+
 def test_validate_rejects_empty_fixed_text():
     # An empty payload has no time on air; it must not load and fail mid-run.
     sc = k4_scenario()
@@ -254,10 +276,26 @@ def test_validate_bounds_fix_time_by_epoch():
     assert sc.replace(epoch_s=last_epoch).validate() == []
     assert sc.replace(epoch_s=last_epoch + 1).validate() == [
         f"epoch_s: {last_epoch + 1} plus duration_s {sc.duration_s} reaches"
-        " 2**32 s, past a position fix's unsigned 32-bit time"
+        " 2**32 s, past a fix's or an uplink's unsigned 32-bit time"
     ]
-    # Without a tracker no payload carries the epoch.
-    assert k4_scenario().replace(epoch_s=2**40).validate() == []
+    # Without a tracker, uplinks or series no output carries the epoch.
+    untimed = k4_scenario().replace(outputs=frozenset({"summary", "map_csv", "map_kml"}))
+    assert untimed.replace(epoch_s=2**40).validate() == []
+
+
+@pytest.mark.parametrize("kind", ["uplinks", "series"])
+def test_validate_bounds_uplink_time_by_epoch(kind):
+    # An uplink's timestamp is Meshtastic's rx_time, a fixed32: epoch_s + int(t).
+    # series.lp prints it in nanoseconds, so an unbounded epoch would also
+    # pass line protocol's signed 64-bit time.
+    sc = k4_scenario().replace(outputs=frozenset({"summary", kind}))
+    assert sc.duration_s == 30.0
+    assert sc.replace(epoch_s=2**32 - 31).validate() == []
+    assert sc.replace(epoch_s=2**32 - 30).validate() == [
+        f"epoch_s: {2**32 - 30} plus duration_s 30.0 reaches"
+        " 2**32 s, past a fix's or an uplink's unsigned 32-bit time"
+    ]
+    assert sc.replace(epoch_s=10**10, outputs=frozenset({"summary"})).validate() == []
 
 
 def _one_app_k4(period_s: float, duration_s: float) -> Scenario:
@@ -609,17 +647,20 @@ def _scenarios(draw):
     outputs = draw(st.frozensets(st.sampled_from(sorted(OUTPUT_KINDS))))
     if not any(n.role is NodeRole.GATEWAY for n in nodes):
         outputs -= GATEWAY_OUTPUTS
+    if any(n.role is NodeRole.GATEWAY and n.route is not None for n in nodes):
+        outputs -= {"map_csv", "map_kml"}  # the maps need a fixed gateway
     snr_min, snr_max = sorted(
         draw(st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2, unique=True))
     )
     pairs = st.tuples(st.integers(0, 16), st.integers(0, 16)).map(lambda p: tuple(sorted(p)))
     sunrise = draw(_nonneg(40_000.0))
     duration_s = draw(_positive(1e6))
-    # A tracker's fix time, epoch_s + int(t), is an unsigned 32-bit int.
-    tracking = any(
+    # A tracker's fix time and an uplink's rx_time, epoch_s + int(t), are
+    # unsigned 32-bit ints.
+    timed = outputs & {"uplinks", "series"} or any(
         app.payload_source is PayloadSource.GNSS_TRACKER for n in nodes for app in n.apps
     )
-    max_epoch_s = 2**32 - 1 - math.ceil(duration_s) if tracking else 2**40
+    max_epoch_s = 2**32 - 1 - math.ceil(duration_s) if timed else 2**40
     return Scenario(
         name=draw(st.text(_printable, min_size=1, max_size=10)),
         duration_s=duration_s,
