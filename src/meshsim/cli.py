@@ -92,7 +92,7 @@ def run_calibration(path: Path) -> int:
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     zones: dict[str, list[tuple[float, float]]] = {}
@@ -242,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         seeds = [args.seed if args.seed is not None else scenario.seed]
 
     out_root = Path(args.out_dir)
-    batch = len(seeds) > 1
+    batch = args.seeds is not None
     summaries: dict[int, dict] = {}
     for seed in seeds:
         run_scenario = scenario.replace(seed=seed)

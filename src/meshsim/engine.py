@@ -74,7 +74,6 @@ from .scenarios import (
     EnvBand,
     LinkOverride,
     NodeSpec,
-    Route,
     Scenario,
     ScenarioError,
 )
@@ -350,11 +349,11 @@ class _AirFrame:
 class _NodeRuntime:
     __slots__ = ("spec", "radio", "state", "route", "busy_until_ns", "airtime_ns", "toa_s")
 
-    def __init__(self, spec: NodeSpec, radio: RadioConfig, state: RouterState, route: Route | None):
+    def __init__(self, spec: NodeSpec, radio: RadioConfig, state: RouterState):
         self.spec = spec
         self.radio = radio
         self.state = state
-        self.route = route
+        self.route = spec.route
         self.busy_until_ns = 0
         self.airtime_ns = 0  # time on air inside [0, duration]
         self.toa_s: dict[int, float] = {}  # time on air by payload length
@@ -400,9 +399,7 @@ class _Simulation:
                 contention=scenario.contention,
                 slot_time_s=default_slot_time_s(radio),
             )
-            self.nodes[spec.id] = _NodeRuntime(
-                spec, radio, state, scenario.node_route(spec)
-            )
+            self.nodes[spec.id] = _NodeRuntime(spec, radio, state)
         self.log: ReceptionLog | None = None
         if "report" in outputs:
             self.log = self.report.receptions = ReceptionLog(
@@ -668,4 +665,15 @@ def run(scenario: Scenario, collect_trace: bool = False) -> SimReport:
     violations = scenario.validate()
     if violations:
         raise ScenarioError(violations)
-    return _Simulation(scenario, collect_trace).run()
+    report = _Simulation(scenario, collect_trace).run()
+    # validate() bounds times by the run's end, but a flood sent inside the
+    # run can be decoded after it. The rows are in judge order, so the last
+    # uplinked one carries the largest rx_time, a fixed32 in Meshtastic.
+    if scenario.outputs & {"uplinks", "series"}:
+        last = next((r for r in reversed(report.gateway_receptions) if r.uplinked), None)
+        if last is not None and scenario.epoch_s + int(last.rx.time_s) >= 1 << 32:
+            raise ScenarioError([
+                f"epoch_s: {scenario.epoch_s} plus an uplink decoded at"
+                f" {last.rx.time_s} s reaches 2**32 s, past its unsigned 32-bit time"
+            ])
+    return report

@@ -181,7 +181,6 @@ class Scenario:
     nodes: tuple[NodeSpec, ...]
     default_env: tuple[EnvBand, ...]
     links: tuple[LinkOverride, ...] = ()
-    tracker_route: Route | None = None
     outputs: frozenset[str] = frozenset({"summary"})
     radio: RadioConfig = RadioConfig()
     contention: ContentionParams = ContentionParams()
@@ -192,13 +191,6 @@ class Scenario:
 
     def node_radio(self, node: NodeSpec) -> RadioConfig:
         return node.radio if node.radio is not None else self.radio
-
-    def node_route(self, node: NodeSpec) -> Route | None:
-        if node.route is not None:
-            return node.route
-        if node.role is NodeRole.TRACKER:
-            return self.tracker_route
-        return None
 
     def validate(self) -> list[str]:
         """Collect every violation; an empty list means the scenario is sound."""
@@ -324,7 +316,6 @@ class Scenario:
                 v.append(f"{where}: a link needs two distinct nodes")
             if link.distance_m is not None and link.distance_m < 1:
                 v.append(f"{where}: distance_m {link.distance_m} below 1 m reference")
-        check_route("tracker_route", self.tracker_route)
         unknown = self.outputs - OUTPUT_KINDS
         if unknown:
             v.append(f"outputs: unknown kinds {sorted(unknown)}")
@@ -556,6 +547,8 @@ def load_scenario(source: str) -> Scenario:
         raise ScenarioError(
             [f"{source!r} is neither a scenario file nor a built-in name ({known})"]
         ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError([f"{source}: cannot read ({exc})"]) from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{source}: not valid JSON ({exc})"]) from exc
     if not isinstance(obj, dict):
@@ -600,7 +593,7 @@ def campus_scenario() -> Scenario:
     position every 60 s (offset so the two never contend), two routers
     bridge the built-up corner, and the gateway uplinks everything.
     The 30 min loop period is a modeling choice, not a surveyed value;
-    override tracker_route in a scenario file to change it.
+    give the tracker another route in a scenario file to change it.
     """
     origin = CAMPUS_ORIGIN
     gateway_pos = origin
@@ -650,6 +643,7 @@ def campus_scenario() -> Scenario:
                 name="badge tracker",
                 role=NodeRole.TRACKER,
                 position=loop.waypoints[0].position,
+                route=loop,
                 apps=(
                     AppSchedule(
                         port=Port.POSITION_APP,
@@ -667,7 +661,6 @@ def campus_scenario() -> Scenario:
             LinkOverride(a="node3", b="node4", env=nlos),
             LinkOverride(a="node3", b="node1", env=nlos),
         ),
-        tracker_route=loop,
         outputs=frozenset({"summary", "report", "map_csv", "uplinks", "series"}),
     )
 
@@ -705,7 +698,7 @@ def cumbre_scenario() -> Scenario:
         return Route(waypoints=tuple(waypoints))
 
     mobile_route = dwell_route(stops)
-    tracker_route = dwell_route(tracker_stops)
+    belt_route = dwell_route(tracker_stops)
     return Scenario(
         name="cumbre",
         duration_s=3600.0,
@@ -737,7 +730,8 @@ def cumbre_scenario() -> Scenario:
                 id="tracker",
                 name="belt tracker",
                 role=NodeRole.TRACKER,
-                position=tracker_route.waypoints[0].position,
+                position=belt_route.waypoints[0].position,
+                route=belt_route,
                 apps=(
                     AppSchedule(
                         port=Port.POSITION_APP,
@@ -751,7 +745,6 @@ def cumbre_scenario() -> Scenario:
             EnvBand(env=_nlos_built(2.0), max_distance_m=2250.0),
             EnvBand(env=_quasi_los(2.0)),
         ),
-        tracker_route=tracker_route,
         outputs=frozenset({"summary", "map_csv", "map_kml", "uplinks", "series"}),
     )
 

@@ -21,11 +21,6 @@ DEGREE_SCALE = 1e7  # fixed-point degrees on the wire
 _POSITION_STRUCT = struct.Struct("<iiiI")
 _IRRADIANCE_STRUCT = struct.Struct("<Hf")
 
-DEFAULT_PERIODS_S = {
-    Port.POSITION_APP: 60.0,
-    Port.TELEMETRY_APP: 300.0,
-}
-
 SECONDS_PER_DAY = 86_400.0
 
 
@@ -45,13 +40,11 @@ class AppSchedule:
 
     port: Port
     payload_source: PayloadSource
-    period_s: float = 0.0  # 0 picks the port default
+    period_s: float
     start_offset_s: float = 0.0
     text: str = "ping"
 
     def __post_init__(self) -> None:
-        if self.period_s == 0.0 and self.port in DEFAULT_PERIODS_S:
-            object.__setattr__(self, "period_s", DEFAULT_PERIODS_S[self.port])
         problems = []
         # Written so that NaN fails each comparison.
         if not self.period_s > 0:

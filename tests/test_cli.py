@@ -115,20 +115,22 @@ def test_seed_and_duration_overrides(tmp_path):
     assert summary["duration_s"] == 600.0
 
 
-def test_seed_batch_directories(tmp_path):
-    assert (
-        run_cli("--scenario", "k4", "--seeds", "3..5", "--out-dir", str(tmp_path)) == 0
-    )
-    for seed in (3, 4, 5):
+@pytest.mark.parametrize("seeds", [(3, 4, 5), (5,)], ids=["3..5", "5..5"])
+def test_seed_batch_directories(tmp_path, seeds):
+    # Any --seeds range is a batch, a one-seed range included.
+    text = f"{seeds[0]}..{seeds[-1]}"
+    assert run_cli("--scenario", "k4", "--seeds", text, "--out-dir", str(tmp_path)) == 0
+    assert not (tmp_path / "summary.json").exists()
+    for seed in seeds:
         summary = json.loads(
             (tmp_path / f"seed_{seed}" / "summary.json").read_text()
         )
         assert summary["seed"] == seed
     merged = json.loads((tmp_path / "batch_summary.json").read_text())
-    assert merged["seeds"] == [3, 4, 5]
-    assert set(merged["runs"]) == {"3", "4", "5"}
+    assert merged["seeds"] == list(seeds)
+    assert set(merged["runs"]) == {str(s) for s in seeds}
     assert merged["mean_pdr"]["node0"] == pytest.approx(
-        sum(merged["runs"][s]["pdr"]["node0"] for s in ("3", "4", "5")) / 3
+        sum(merged["runs"][str(s)]["pdr"]["node0"] for s in seeds) / len(seeds)
     )
 
 
@@ -168,15 +170,39 @@ def test_construction_errors_are_collected_with_paths(tmp_path, capsys):
     obj["nodes"][0]["apps"][0].update(
         port="TEXT_MESSAGE_APP", payload_source="TEXT_FIXED", period_s=0
     )
-    obj["tracker_route"]["waypoints"][1]["time_s"] = 0.0
+    obj["nodes"][4]["route"]["waypoints"][1]["time_s"] = 0.0
     path = tmp_path / "two_faults.json"
     path.write_text(json.dumps(obj))
     assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [
         "error: nodes/0/apps/0: invalid AppSchedule: period_s 0 must be positive",
-        "error: tracker_route: route waypoint times must be strictly increasing",
+        "error: nodes/4/route: route waypoint times must be strictly increasing",
     ]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda obj: obj.update(tracker_route=obj["nodes"][4].pop("route")),
+            "(root): Additional properties are not allowed ('tracker_route' was unexpected)",
+        ),
+        (
+            lambda obj: obj["nodes"][0]["apps"][0].pop("period_s"),
+            "nodes/0/apps/0: 'period_s' is a required property",
+        ),
+    ],
+    ids=["shared-tracker-route", "app-without-period"],
+)
+def test_a_node_states_its_own_route_and_period(tmp_path, capsys, edit, message):
+    obj = campus_scenario().to_dict()
+    edit(obj)
+    path = tmp_path / "campus.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_equal_snr_span_is_usage_error(tmp_path, capsys):
@@ -292,6 +318,24 @@ def test_uplink_time_past_32_bits_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / str(last_epoch + 1)).exists()
 
 
+def test_late_uplink_past_32_bits_is_usage_error(tmp_path, capsys):
+    # line4's one uplink is decoded at 2.300064 s, after a 1 s run has ended.
+    obj = line_scenario().replace(duration_s=1.0).to_dict()
+    for epoch_s, code in ((2**32 - 3, 0), (2**32 - 2, 2)):
+        obj["epoch_s"] = epoch_s
+        path = tmp_path / f"epoch{epoch_s}.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / str(epoch_s)
+        assert run_cli("--scenario", str(path), "--out-dir", str(out)) == code
+    assert capsys.readouterr().err == (
+        f"error: epoch_s: {2**32 - 2} plus an uplink decoded at 2.300064 s reaches"
+        " 2**32 s, past its unsigned 32-bit time\n"
+    )
+    (line,) = (tmp_path / str(2**32 - 3) / "uplinks.ndjson").read_text().splitlines()
+    assert json.loads(line)["body"]["timestamp"] == 2**32 - 1
+    assert not (tmp_path / str(2**32 - 2)).exists()
+
+
 def test_empty_fixed_text_is_usage_error(tmp_path, capsys):
     obj = k4_scenario().to_dict()
     for node in obj["nodes"]:
@@ -404,6 +448,19 @@ def test_unparseable_json_is_usage_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_scenario_is_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"name": "\xff"}')
+    assert run_cli("--scenario", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: cannot read (")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_emit_kind_is_usage_error(tmp_path, capsys):
     assert (
         run_cli("--scenario", "k4", "--emit", "nope", "--out-dir", str(tmp_path)) == 2
@@ -464,6 +521,15 @@ def test_calibrate_point_column(tmp_path, capsys):
 def test_calibrate_missing_file(capsys):
     assert run_cli("--calibrate", "/does/not/exist.csv") == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_calibrate_non_utf8_csv(tmp_path, capsys):
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(b"distance_m,rssi_dbm,zone\n100,-80,caf\xe9\n")
+    assert run_cli("--calibrate", str(csv_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {csv_path}: ")
+    assert captured.out == ""
 
 
 def test_calibrate_empty_csv(tmp_path, capsys):

@@ -22,6 +22,7 @@ from meshsim.scenarios import (
     NodeSpec,
     Route,
     Scenario,
+    ScenarioError,
     Waypoint,
     campus_scenario,
     cumbre_scenario,
@@ -345,6 +346,26 @@ def test_gateway_delivery_carries_rx_metadata():
     assert delivery.packet.origin == "node0"
     assert delivery.rx.rssi_dbm < 0
     assert delivery.rx.time_s > 0
+
+
+@pytest.mark.parametrize("kind", ["uplinks", "series"])
+def test_late_uplink_past_32_bits_is_rejected(kind):
+    # validate() bounds times by the run's end; line4's one uplink is decoded
+    # at 2.300064 s, after a 1 s run, and its rx_time is a fixed32.
+    sc = line_scenario().replace(duration_s=1.0, outputs=frozenset({"summary", kind}))
+    report = engine.run(sc.replace(epoch_s=2**32 - 3))
+    (last,) = [rec for rec in report.gateway_receptions if rec.uplinked]
+    assert last.rx.time_s == 2.300064
+    late = sc.replace(epoch_s=2**32 - 2)
+    assert late.validate() == []
+    with pytest.raises(ScenarioError) as exc:
+        engine.run(late)
+    assert exc.value.violations == [
+        f"epoch_s: {2**32 - 2} plus an uplink decoded at 2.300064 s reaches"
+        " 2**32 s, past its unsigned 32-bit time"
+    ]
+    # The maps carry no 32-bit time.
+    engine.run(late.replace(outputs=frozenset({"summary", "map_csv"})))
 
 
 # --- propagation table ------------------------------------------------------------------

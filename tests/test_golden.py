@@ -43,7 +43,7 @@ GOLDEN = {
         "report.json": "b9831f8ca0a057c9479e864186c11263646f95ce3caece19bcec2215c5693f1e",
         "series.lp": "f6c72c13d8dc838fe83f62757caea1a39f445cac569db6a7b8b0e5de87eb7afe",
         "summary.json": "ccfc47d91204fead843774f4b401dab088ce6ce9059377bf92ff5ef50269c50e",
-        "to_dict": "da82afa1813836afa0f71a68e7be7085774aa77f89ec4a81eab6e33ee1c4a670",
+        "to_dict": "3b9f438543b9d1ec3234fe6563af0788c014fa966cc812c9d084d5f7f2c7d2c8",
         "trace.log": "8c6fcbd1ab1633dcbda5b33c973dacca50ae9c5a3878840bb1a312b2917c3737",
         "uplinks.ndjson": "9daf070c415cc9e78bf07768ff569d18704d2d2744f376c1aa119e8945bd3036",
     },
@@ -53,7 +53,7 @@ GOLDEN = {
         "report.json": "df1a63c203b2cfab67114888c03241650bfdb01d8c635b5a27929ee1d384ceb1",
         "series.lp": "c1829e8c9882eed28bb79348638960058b28a7ca87af5a89d064762c9c5bacd5",
         "summary.json": "1401b4cbaa2c657fcb7468a3e85186c2adf389da77a36b06f9b022c982acd966",
-        "to_dict": "fb51a3d7ce20a0abc25ac1cd37833585e32e47a21dfb69c7df1c3bd0f857d45b",
+        "to_dict": "130fb06a06585f3edcd66125e200a3f84f8ea73d7931c216adea43021b5b11a2",
         "trace.log": "9b14b34dbef081a43758238ce06243a8e8b5eee1fb2a9b2882dc12c734894e17",
         "uplinks.ndjson": "9e02e9366759e14336d4eda54f31b713ba0fe1a741c8b8845450874f80f54492",
     },

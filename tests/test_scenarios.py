@@ -96,9 +96,8 @@ def test_campus_layout():
         a.port is Port.TELEMETRY_APP and a.period_s == 300.0 for a in node1.apps
     )
     tracker = next(n for n in sc.nodes if n.id == "tracker")
-    assert sc.node_route(tracker) is not None
     # The tracker loop repeats every 30 minutes.
-    route = sc.node_route(tracker)
+    route = tracker.route
     assert route.loop
     p0 = route.position_at(100.0)
     p1 = route.position_at(100.0 + 1800.0)
@@ -117,7 +116,7 @@ def test_cumbre_route_dwells():
     sc = cumbre_scenario()
     mobile = next(n for n in sc.nodes if n.id == "mobile")
     gateway = next(n for n in sc.nodes if n.id == "gateway")
-    route = sc.node_route(mobile)
+    route = mobile.route
     # Dwell midpoints sit at the four measured stops.
     for t, expected in ((300.0, 1090.0), (1200.0, 1600.0), (2100.0, 2050.0), (3000.0, 2470.0)):
         d = node_distance_m(route.position_at(t), gateway.position)
@@ -322,6 +321,7 @@ def test_radio_rejects_negative_noise_figure():
 
 
 _LOS = campus_scenario().default_env[0].env
+_CAMPUS_NODES = campus_scenario().nodes
 
 
 @pytest.mark.parametrize(
@@ -331,10 +331,17 @@ _LOS = campus_scenario().default_env[0].env
         ({"name": ""}, ["name: must not be empty"]),
         ({"region": ""}, ["region: must not be empty"]),
         (
-            {"tracker_route": Route(waypoints=(Waypoint(-5.0, LatLonAlt(200.0, 0.0)),))},
+            {
+                "nodes": _CAMPUS_NODES[:4] + (
+                    replace(
+                        _CAMPUS_NODES[4],
+                        route=Route(waypoints=(Waypoint(-5.0, LatLonAlt(200.0, 0.0)),)),
+                    ),
+                )
+            },
             [
-                "tracker_route.waypoints[0]: time_s -5.0 must be >= 0",
-                "tracker_route.waypoints[0]: latitude 200.0 outside -90..90",
+                "nodes[4] (tracker).route.waypoints[0]: time_s -5.0 must be >= 0",
+                "nodes[4] (tracker).route.waypoints[0]: latitude 200.0 outside -90..90",
             ],
         ),
         (
@@ -474,20 +481,20 @@ def test_schema_rejects_unknown_position_key():
             "nodes/0/role: 'SUPERNODE' is not one of ['CLIENT', 'ROUTER', 'GATEWAY', 'TRACKER']",
         ),
         (
-            ("tracker_route", "waypoints", 0),
+            ("nodes", 4, "route", "waypoints", 0),
             {"time_s": 0.0, "latitude": 0.0, "longitude": 0.0, "speed": 1},
-            "tracker_route/waypoints/0: Additional properties are not allowed "
+            "nodes/4/route/waypoints/0: Additional properties are not allowed "
             "('speed' was unexpected)",
         ),
         (
-            ("tracker_route", "waypoints", 0),
+            ("nodes", 4, "route", "waypoints", 0),
             {"time_s": 0.0, "longitude": 0.0},
-            "tracker_route/waypoints/0: 'latitude' is a required property",
+            "nodes/4/route/waypoints/0: 'latitude' is a required property",
         ),
         (
-            ("tracker_route", "waypoints"),
+            ("nodes", 4, "route", "waypoints"),
             [],
-            "tracker_route: route needs at least one waypoint",
+            "nodes/4/route: route needs at least one waypoint",
         ),
     ],
     ids=[
@@ -510,10 +517,10 @@ def test_codec_layout_exceptions():
     sc = campus_scenario()
     obj = sc.to_dict()
     # A waypoint carries its position inline.
-    assert obj["tracker_route"]["waypoints"][0] == {
+    assert obj["nodes"][4]["route"]["waypoints"][0] == {
         "time_s": 0.0,
-        "latitude": sc.tracker_route.waypoints[0].position.latitude,
-        "longitude": sc.tracker_route.waypoints[0].position.longitude,
+        "latitude": sc.nodes[4].route.waypoints[0].position.latitude,
+        "longitude": sc.nodes[4].route.waypoints[0].position.longitude,
         "altitude_m": 2559.9,
     }
     # Fields holding None are left out.
@@ -668,7 +675,6 @@ def _scenarios(draw):
         nodes=nodes,
         default_env=bands,
         links=links,
-        tracker_route=draw(st.none() | _routes()),
         outputs=outputs,
         radio=draw(_radio),
         contention=ContentionParams(

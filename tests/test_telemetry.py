@@ -204,15 +204,13 @@ def test_profile_validation():
 
 
 def test_schedule_emission_counts():
-    telemetry = AppSchedule(Port.TELEMETRY_APP, PayloadSource.IRRADIANCE_SENSOR)
-    assert telemetry.period_s == 300.0
+    telemetry = AppSchedule(Port.TELEMETRY_APP, PayloadSource.IRRADIANCE_SENSOR, 300.0)
     assert telemetry.emission_count(3600.0) == 13
     assert telemetry.emission_count(86400.0) == 289
 
     position = AppSchedule(
-        Port.POSITION_APP, PayloadSource.GNSS_TRACKER, start_offset_s=15.0
+        Port.POSITION_APP, PayloadSource.GNSS_TRACKER, 60.0, start_offset_s=15.0
     )
-    assert position.period_s == 60.0
     assert position.emission_count(3600.0) == 60
 
 
