@@ -58,3 +58,10 @@ def test_traced_child_reaches_every_layer(name, tmp_path):
         assert layers.get(layer, {}).get("calls", 0) >= 1, layer
     # engine.run counts the records the run kept; only report.json needs them.
     assert (layers["engine.run"]["count"] > 0) == ("report" in sc.outputs)
+    # The gateway layers count what reached the files: one uplink per JSON
+    # line, and points, not characters, for the series.
+    out = tmp_path / "out"
+    uplinks = (out / "uplinks.ndjson").read_text(encoding="utf-8").splitlines()
+    points = [line for line in (out / "series.lp").read_text(encoding="utf-8").split("\n") if line]
+    assert layers["gateway.uplink"]["count"] == len(uplinks) > 0
+    assert layers["gateway.series"]["count"] == len(points) > len(uplinks)

@@ -7,6 +7,7 @@ change only with a change the ROADMAP calls out as changing output
 bytes; update it in the same commit and say why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import json
 import runpy
@@ -99,16 +100,57 @@ def test_builtin_outputs_match_golden(name, tmp_path):
     assert got == GOLDEN[name]
 
 
-# sha256 of report.json from campus over 24 h, seed 1, with its built-in
-# outputs: the benchmark's campus-day run, whose largest file this is
-# (34,580 rows, 14.6 MB).
-CAMPUS_DAY_REPORT = "f2893bae417aa4fc216884199f9cd7727ec32e99e00faefcdf9e0ab81d6756c8"
+# sha256 of the gateway files and report.json from campus over 24 h, seed 1,
+# with its built-in outputs: the benchmark's campus-day run. report.json is
+# its largest file (34,580 rows, 14.6 MB).
+CAMPUS_DAY = {
+    "report.json": "f2893bae417aa4fc216884199f9cd7727ec32e99e00faefcdf9e0ab81d6756c8",
+    "series.lp": "2e4caf5cc766874ad133515bf9fce784d27b6d98ff860b1e64187abde3781741",
+    "uplinks.ndjson": "31fb4a4df1bdcd044080859292e678889c1021f2d9da6920b69a1ce094236543",
+}
 
 
 def test_campus_day_report_matches_golden(tmp_path):
     sc = BUILTIN_SCENARIOS["campus"]().replace(duration_s=86_400.0, seed=1)
+    assert {"uplinks", "series"} <= sc.outputs
     write_outputs(engine.run(sc), sc, tmp_path)
-    assert _sha256((tmp_path / "report.json").read_bytes()) == CAMPUS_DAY_REPORT
+    got = {name: _sha256((tmp_path / name).read_bytes()) for name in CAMPUS_DAY}
+    assert got == CAMPUS_DAY
+
+
+# Node ids, in node order, that every writer must escape or quote: a quote,
+# a comma, a space, "=", a backslash and non-ASCII letters.
+HOSTILE_IDS = ('gw "α",β=1\\', 'a "b",c d', 'e=f\\ g', 'ñodo, «é»')
+
+# sha256 of each gateway file of k4 and line4 with HOSTILE_IDS for ids.
+HOSTILE = {
+    "k4": {
+        "map.csv": "364982485f332adef1b1a9218bfba0115108f16ec340da76d411b1dda157ff86",
+        "map.kml": "68f58ce6125990225798c5cad2f21e38384c387a5cd6a302924e296271546e7a",
+        "series.lp": "01c3f576eee16d4f721cae2219b24766482ee68161530a1d91bc796fed518ca5",
+        "uplinks.ndjson": "73172f991fd8853317ef9b4e481b699bae031327858af3b0993761788cd625ee",
+    },
+    "line4": {
+        "map.csv": "4e15573af68033a2838239a78e3bbd2577d680e4b670d475a1edc6b9310eac68",
+        "map.kml": "3884757690bf8a0adeaef8a0311db42a467fd21da537661611abf300073212a6",
+        "series.lp": "8196ca975f4bc14180106d3d4ebaafb0271eaf727ecaeff734bfa3bf1f623591",
+        "uplinks.ndjson": "0137679b6375c1583ff8235fa76405f4ef3b9fb14391ae0340162d06806bb597",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_ids_gateway_outputs_match_golden(name, tmp_path):
+    sc = BUILTIN_SCENARIOS[name]()
+    ids = {node.id: new for node, new in zip(sc.nodes, HOSTILE_IDS, strict=True)}
+    sc = sc.replace(
+        nodes=tuple(dataclasses.replace(node, id=ids[node.id]) for node in sc.nodes),
+        links=tuple(dataclasses.replace(link, a=ids[link.a], b=ids[link.b]) for link in sc.links),
+        outputs=frozenset({"summary", "uplinks", "series", "map_csv", "map_kml"}),
+    )
+    write_outputs(engine.run(sc), sc, tmp_path)
+    got = {file: _sha256((tmp_path / file).read_bytes()) for file in HOSTILE[name]}
+    assert got == HOSTILE[name]
 
 
 # sha256 of json.dumps(engine.run(_crowded_grid()).to_dict(), sort_keys=True).
