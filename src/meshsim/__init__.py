@@ -8,7 +8,6 @@ reproducible bit for bit from (scenario, seed).
 
 from .engine import run
 from .gateway import (
-    SeriesRecord,
     UplinkMessage,
     classify_rssi,
     serialize_line_protocol,
@@ -84,7 +83,6 @@ __all__ = [
     "RxMetadata",
     "Scenario",
     "ScenarioError",
-    "SeriesRecord",
     "SimReport",
     "Terrain",
     "UplinkMessage",

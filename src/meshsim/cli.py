@@ -46,8 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="built-in name (%s) or path to a scenario JSON file"
         % ", ".join(sorted(BUILTIN_SCENARIOS)),
     )
-    parser.add_argument("--seed", type=int, help="override the scenario seed")
-    parser.add_argument(
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="override the scenario seed")
+    seeds.add_argument(
         "--seeds",
         help="run a seed batch, inclusive range 'A..B'; outputs land in "
         "per-seed subdirectories",

@@ -11,18 +11,17 @@ each delivery into one UplinkMessage, then into its JSON line and its
 line-protocol points, and writes them before taking the next, so nothing
 is held across deliveries. The map writers stream too: each writes its
 rows into the handle it is given, one row per write, so neither map is
-ever held whole. The fixed work is done once: one JSON encoder serves
-every uplink, and line-protocol names, which repeat a few ids, are
-escaped once and cached.
+ever held whole. One JSON encoder serves every uplink. The series points
+come in three shapes (irradiance, position, link), and each is one
+f-string template; only the ids in it are escaped.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
-from typing import Any, Iterable, TextIO
+from typing import Any, TextIO
 
 from .geo import geo_to_local
 from .mesh import NodeRole, Port
@@ -34,7 +33,6 @@ from .phy import round_half_away_from_zero, snr_raw_decode, snr_raw_encode
 __all__ = [
     "RSSI_GREEN_THRESHOLD_DBM",
     "RSSI_RED_THRESHOLD_DBM",
-    "SeriesRecord",
     "UplinkMessage",
     "classify_rssi",
     "reception_map_csv",
@@ -51,7 +49,7 @@ RSSI_RED_THRESHOLD_DBM = -110.0
 
 _MAP_COLUMNS = "time_s,node,x_m,y_m,distance_m,rssi_dbm,snr_db,bucket,port"
 
-# Enum .value is a property; the series path compares ports per delivery.
+# Enum .value is a property; _decode_payload compares ports per delivery.
 _POSITION_APP = Port.POSITION_APP.value
 _TELEMETRY_APP = Port.TELEMETRY_APP.value
 _TEXT_MESSAGE_APP = Port.TEXT_MESSAGE_APP.value
@@ -139,112 +137,62 @@ def uplink_from_delivery(
     return UplinkMessage(gateway_id=delivery.gateway_id, topic=topic, body=body)
 
 
-@dataclass(frozen=True)
-class SeriesRecord:
-    """One line-protocol point; floats are pinned to 6 decimals on entry."""
-
-    measurement: str
-    tags: dict[str, str]
-    fields: dict[str, Any]
-    time_ns: int
-
-    def __post_init__(self):
-        if not self.measurement:
-            raise ValueError("measurement must be non-empty")
-        if not self.fields:
-            raise ValueError("at least one field is required")
-        fields = self.fields
-        for key, value in fields.items():
-            kind = type(value)  # the exact types first; subclasses take the long way
-            if kind is int:
-                continue
-            if kind is not float and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise ValueError(f"field {key!r} must be int or float")
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise ValueError(f"field {key!r} must be finite")
-                fields[key] = round(value, 6)
+def _escape(text: str) -> str:
+    """Escape an id for a line-protocol tag value: backslash, comma, equals
+    sign and space.
+    """
+    return (
+        text.replace("\\", "\\\\")
+        .replace(",", "\\,")
+        .replace("=", "\\=")
+        .replace(" ", "\\ ")
+    )
 
 
-def uplink_to_series(uplink: UplinkMessage) -> list[SeriesRecord]:
-    """Flatten an uplink into time-series points.
+def _field(value: float) -> str:
+    """A float field value: 6 decimals, trailing zeros and a bare point
+    stripped.
+    """
+    return f"{value:.6f}".rstrip("0").rstrip(".")
 
-    Every uplink yields a link-quality record; position and irradiance
-    payloads add one domain record each, so those ports yield exactly two.
+
+def uplink_to_series(uplink: UplinkMessage) -> list[str]:
+    """Flatten an uplink into its line-protocol points, one string each.
+
+    Every uplink yields a link point; an irradiance or position payload
+    adds one point before it. Each measurement is one template with its
+    tags and fields in sorted order; integers carry the 'i' suffix, and
+    only the node and gateway ids are escaped, since the rest is fixed.
     """
     body = uplink.body
-    time_ns = body["timestamp"] * NS_PER_S
-    node = body["from"]
     payload = body["payload"]
-    port = body["port"]
-    records = []
-    if port == _TELEMETRY_APP and "irradiance_wm2" in payload:
-        records.append(
-            SeriesRecord(
-                measurement="irradiance",
-                tags={"node": node},
-                fields={"value": float(payload["irradiance_wm2"])},
-                time_ns=time_ns,
-            )
-        )
-    elif port == _POSITION_APP and "latitude_i" in payload:
-        records.append(
-            SeriesRecord(
-                measurement="position",
-                tags={"node": node},
-                fields={
-                    "latitude": payload["latitude_i"] / 1e7,
-                    "longitude": payload["longitude_i"] / 1e7,
-                    "altitude_m": int(payload["altitude_m"]),
-                },
-                time_ns=time_ns,
-            )
-        )
-    records.append(
-        SeriesRecord(
-            measurement="link",
-            tags={"gateway": uplink.gateway_id, "node": node},
-            fields={"rssi_dbm": float(body["rssi"]), "snr_db": float(body["snr"])},
-            time_ns=time_ns,
-        )
-    )
-    return records
-
-
-# A run names a handful of measurements, tags and ids, over and over.
-@functools.lru_cache(maxsize=4096)
-def _escape(text: str, chars: str) -> str:
-    out = text.replace("\\", "\\\\")
-    for ch in chars:
-        out = out.replace(ch, "\\" + ch)
-    return out
-
-
-def _format_field_value(value: Any) -> str:
-    if isinstance(value, int):
-        return f"{value}i"
-    text = f"{value:.6f}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
-
-
-def serialize_line_protocol(records: Iterable[SeriesRecord]) -> str:
-    """Render records as line protocol, one point per line, no trailing
-    newline. Tags and fields are emitted in sorted key order; integers get
-    the 'i' suffix, floats print with trailing zeros stripped.
-    """
+    node = _escape(body["from"])
+    time_ns = body["timestamp"] * NS_PER_S
     lines = []
-    for rec in records:
-        tags, fields = rec.tags, rec.fields
-        head = _escape(rec.measurement, ", ")
-        for key in sorted(tags):
-            head += f",{_escape(key, ',= ')}={_escape(tags[key], ',= ')}"
-        values = ",".join(
-            f"{_escape(key, ',= ')}={_format_field_value(fields[key])}"
-            for key in sorted(fields)
+    if "irradiance_wm2" in payload:
+        lines.append(
+            f"irradiance,node={node} value={_field(payload['irradiance_wm2'])} {time_ns}"
         )
-        lines.append(f"{head} {values} {rec.time_ns}")
+    elif "latitude_i" in payload:
+        lines.append(
+            f"position,node={node} altitude_m={payload['altitude_m']}i,"
+            f"latitude={_field(payload['latitude_i'] / 1e7)},"
+            f"longitude={_field(payload['longitude_i'] / 1e7)} {time_ns}"
+        )
+    lines.append(
+        f"link,gateway={_escape(uplink.gateway_id)},node={node} "
+        f"rssi_dbm={_field(body['rssi'])},snr_db={_field(body['snr'])} {time_ns}"
+    )
+    return lines
+
+
+def serialize_line_protocol(lines: list[str]) -> str:
+    """Join points into line protocol, one per line, no trailing newline.
+
+    A plain join that stays a function of its own: bench/child.py wraps it
+    and uplink_to_series by name as the gateway.series layer, and counts
+    the points in uplink_to_series' list.
+    """
     return "\n".join(lines)
 
 

@@ -98,11 +98,10 @@ class IrradianceSample:
     @classmethod
     def from_adc(cls, adc_raw: int, battery_soc: int | None = None) -> "IrradianceSample":
         volts = adc_to_voltage(adc_raw)
-        irradiance, _ = voltage_to_irradiance(volts)
         return cls(
             adc_raw=adc_raw,
             volts=volts,
-            irradiance_wm2=irradiance,
+            irradiance_wm2=voltage_to_irradiance(volts),
             battery_soc=battery_soc,
         )
 
@@ -132,18 +131,15 @@ def adc_to_voltage(adc_raw: int) -> float:
     return adc_raw / ADC_FULL_SCALE * ADC_REFERENCE_VOLTS
 
 
-def voltage_to_irradiance(volts: float) -> tuple[float, bool]:
-    """Convert sensor volts to W/m^2; returns (value, clamped).
+def voltage_to_irradiance(volts: float) -> float:
+    """Convert sensor volts to W/m^2.
 
-    Values beyond the sensor's physical maximum are clamped and flagged
-    rather than propagated, so a saturated ADC cannot fake a record sun.
+    Values beyond the sensor's physical maximum are clamped rather than
+    propagated, so a saturated ADC cannot fake a record sun.
     """
     if volts < 0:
         raise ValueError(f"volts {volts} must be >= 0")
-    irradiance = volts / PYRANOMETER_SCALE_V_PER_WM2
-    if irradiance > IRRADIANCE_MAX_WM2:
-        return IRRADIANCE_MAX_WM2, True
-    return irradiance, False
+    return min(volts / PYRANOMETER_SCALE_V_PER_WM2, IRRADIANCE_MAX_WM2)
 
 
 def encode_position(

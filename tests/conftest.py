@@ -44,6 +44,35 @@ def parse_line_protocol(text: str) -> list[dict]:
     return points
 
 
+def expected_series(gateway_id: str, body: dict) -> list[dict]:
+    """The points an uplink body should flatten into, in the shape
+    parse_line_protocol returns, read from the body alone.
+
+    An irradiance or position payload gives one point of its own; every
+    uplink gives a link point last. Floats are the body's values rounded
+    to 6 decimals; the altitude stays an integer.
+    """
+    payload = body["payload"]
+    node = body["from"]
+    time_ns = body["timestamp"] * 10**9
+    points = []
+    if "irradiance_wm2" in payload:
+        points.append(("irradiance", {"node": node},
+                       {"value": round(payload["irradiance_wm2"], 6)}))
+    elif "latitude_i" in payload:
+        points.append(("position", {"node": node}, {
+            "altitude_m": payload["altitude_m"],
+            "latitude": round(payload["latitude_i"] / 1e7, 6),
+            "longitude": round(payload["longitude_i"] / 1e7, 6),
+        }))
+    points.append(("link", {"gateway": gateway_id, "node": node},
+                   {"rssi_dbm": float(body["rssi"]), "snr_db": round(body["snr"], 6)}))
+    return [
+        {"measurement": name, "tags": tags, "fields": fields, "time_ns": time_ns}
+        for name, tags, fields in points
+    ]
+
+
 def _split_top(line: str) -> tuple[str, str, str]:
     first, second = _unescaped_space_indices(line)
     return line[:first], line[first + 1 : second], line[second + 1 :]

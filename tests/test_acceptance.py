@@ -13,7 +13,7 @@ import random
 import re
 import time
 
-from conftest import flood_oracle, parse_line_protocol
+from conftest import expected_series, flood_oracle, parse_line_protocol
 
 from meshsim import cli, engine
 from meshsim.cli import write_outputs
@@ -301,16 +301,11 @@ def test_08_day_long_campus_soak():
         for d in report.gateway_receptions
         if d.uplinked
     ]
-    records = [r for u in uplinks for r in uplink_to_series(u)]
-    irradiance = [r for r in records if r.measurement == "irradiance"]
-    parsed = parse_line_protocol(serialize_line_protocol(records))
-    roundtrip = len(parsed) == len(records) and all(
-        p["measurement"] == r.measurement
-        and p["tags"] == r.tags
-        and p["fields"] == r.fields
-        and p["time_ns"] == r.time_ns
-        for p, r in zip(parsed, records)
-    )
+    points = [line for u in uplinks for line in uplink_to_series(u)]
+    parsed = parse_line_protocol(serialize_line_protocol(points))
+    irradiance = [p for p in parsed if p["measurement"] == "irradiance"]
+    expected = [p for u in uplinks for p in expected_series(u.gateway_id, u.body)]
+    roundtrip = len(parsed) == len(points) and parsed == expected
     elapsed = time.perf_counter() - started
     ok = (
         pdr == {"node1": 1.0, "tracker": 1.0}

@@ -484,6 +484,16 @@ def test_bad_seed_range_is_usage_error(tmp_path, capsys):
     assert run_cli("--scenario", "k4", "--seeds", "7", "--out-dir", str(tmp_path)) == 2
 
 
+def test_seed_with_seeds_is_usage_error(tmp_path, capsys):
+    # One flag names one seed, the other a batch; together, neither wins.
+    out = tmp_path / "out"
+    assert run_cli("--scenario", "k4", "--seed", "9", "--seeds", "3..3",
+                   "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not allowed with argument" in err
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
     assert "meshsim" in capsys.readouterr().out

@@ -9,11 +9,13 @@ import string
 from xml.etree import ElementTree
 
 import pytest
-from conftest import parse_line_protocol
+from conftest import expected_series, parse_line_protocol
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meshsim import engine
 from meshsim.gateway import (
-    SeriesRecord,
+    UplinkMessage,
     classify_rssi,
     reception_map_csv,
     reception_map_kml,
@@ -131,7 +133,39 @@ def test_snr_negative_quantization():
     assert up.body["rssi"] == -119
 
 
-# --- series records ------------------------------------------------------------
+# --- series points --------------------------------------------------------------
+
+
+def _points(uplink):
+    """uplink_to_series' points as parse_line_protocol reads them, each
+    field value paired with its type, so an int cannot pass for a float.
+    """
+    points = [parse_line_protocol(line)[0] for line in uplink_to_series(uplink)]
+    return _typed(points)
+
+
+def _typed(points):
+    return [
+        {**p, "fields": {k: (type(v), v) for k, v in p["fields"].items()}} for p in points
+    ]
+
+
+def _uplink(payload, node="node1", gateway="node4", rssi=-96, snr=3.25,
+            timestamp=1_700_000_000):
+    """An uplink made by hand, so a test chooses every value it flattens."""
+    body = {"from": node, "payload": payload, "rssi": rssi, "snr": snr,
+            "timestamp": timestamp}
+    return UplinkMessage(gateway_id=gateway, topic=f"msh/US/2/json/LongFast/{gateway}",
+                         body=body)
+
+
+def _irradiance(value):
+    return {"adc_raw": 0, "irradiance_wm2": value, "volts": 0.0}
+
+
+def _position(latitude_i, longitude_i, altitude_m):
+    return {"altitude_m": altitude_m, "fix_time_s": 0, "latitude_i": latitude_i,
+            "longitude_i": longitude_i}
 
 
 def test_telemetry_uplink_yields_two_records():
@@ -139,169 +173,148 @@ def test_telemetry_uplink_yields_two_records():
     up = uplink_from_delivery(
         delivery_for(Port.TELEMETRY_APP, payload), epoch_s=1_700_000_000
     )
-    records = uplink_to_series(up)
-    assert [r.measurement for r in records] == ["irradiance", "link"]
-    link = records[1]
-    assert link.tags == {"gateway": "node4", "node": "node1"}
-    assert link.time_ns == up.body["timestamp"] * 10**9
+    points = _points(up)
+    assert [p["measurement"] for p in points] == ["irradiance", "link"]
+    link = points[1]
+    assert link["tags"] == {"gateway": "node4", "node": "node1"}
+    assert link["time_ns"] == up.body["timestamp"] * 10**9
+    assert points == _typed(expected_series(up.gateway_id, up.body))
 
 
 def test_position_uplink_yields_two_records():
     payload = encode_position(4.9167, -74.0167, 2560, 1_700_000_000)
-    records = uplink_to_series(
-        uplink_from_delivery(delivery_for(Port.POSITION_APP, payload))
-    )
-    assert [r.measurement for r in records] == ["position", "link"]
-    pos = records[0]
-    assert pos.fields["latitude"] == pytest.approx(4.9167, abs=1e-6)
-    assert isinstance(pos.fields["altitude_m"], int)
+    up = uplink_from_delivery(delivery_for(Port.POSITION_APP, payload))
+    points = _points(up)
+    assert [p["measurement"] for p in points] == ["position", "link"]
+    fields = points[0]["fields"]
+    assert fields["latitude"] == (float, 4.9167)
+    assert fields["altitude_m"] == (int, 2560)
+    assert points == _typed(expected_series(up.gateway_id, up.body))
 
 
 def test_text_uplink_yields_link_record_only():
-    records = uplink_to_series(
-        uplink_from_delivery(delivery_for(Port.TEXT_MESSAGE_APP, b"hi"))
-    )
-    assert [r.measurement for r in records] == ["link"]
-
-
-def test_series_record_validation():
-    with pytest.raises(ValueError):
-        SeriesRecord("m", {}, {}, 0)
-    with pytest.raises(ValueError):
-        SeriesRecord("", {}, {"v": 1.0}, 0)
-    with pytest.raises(ValueError):
-        SeriesRecord("m", {}, {"v": float("nan")}, 0)
-    with pytest.raises(ValueError):
-        SeriesRecord("m", {}, {"v": True}, 0)
-    with pytest.raises(ValueError):
-        SeriesRecord("m", {}, {"v": "text"}, 0)
-
-
-def test_series_record_quantizes_floats():
-    rec = SeriesRecord("m", {}, {"v": 1.23456789}, 0)
-    assert rec.fields["v"] == 1.234568
-
-
-def test_series_record_rules_hold_for_subclasses():
-    class Meters(float):
-        pass
-
-    class Count(int):
-        pass
-
-    rec = SeriesRecord("m", {}, {"a": Meters(1.23456789), "b": Count(3), "c": 7}, 0)
-    assert rec.fields == {"a": 1.234568, "b": 3, "c": 7}
-    assert type(rec.fields["a"]) is float
-    for bad in (float("inf"), -float("inf"), Meters("nan"), False, None, "1"):
-        with pytest.raises(ValueError):
-            SeriesRecord("m", {}, {"v": bad}, 0)
+    up = uplink_from_delivery(delivery_for(Port.TEXT_MESSAGE_APP, b"hi"))
+    assert [p["measurement"] for p in _points(up)] == ["link"]
+    raw = uplink_from_delivery(delivery_for(Port.CONTROL, b"\x01"))
+    assert [p["measurement"] for p in _points(raw)] == ["link"]
 
 
 # --- line protocol ----------------------------------------------------------------
 
 
 def test_line_protocol_spot_value():
-    rec = SeriesRecord(
-        measurement="irradiance",
-        tags={"node": "node1"},
-        fields={"value": 812.5},
-        time_ns=1_700_000_000_000_000_000,
-    )
-    assert (
-        serialize_line_protocol([rec])
-        == "irradiance,node=node1 value=812.5 1700000000000000000"
-    )
+    up = _uplink(_irradiance(812.5), rssi=-110, snr=-7.5)
+    assert uplink_to_series(up) == [
+        "irradiance,node=node1 value=812.5 1700000000000000000",
+        "link,gateway=node4,node=node1 rssi_dbm=-110,snr_db=-7.5 1700000000000000000",
+    ]
 
 
 def test_line_protocol_int_suffix_and_tag_order():
-    rec = SeriesRecord(
-        measurement="position",
-        tags={"node": "tracker", "gateway": "gw"},
-        fields={"altitude_m": 2564, "latitude": 4.919106},
-        time_ns=1_700_002_475_000_000_000,
-    )
-    line = serialize_line_protocol([rec])
-    assert line == (
-        "position,gateway=gw,node=tracker "
-        "altitude_m=2564i,latitude=4.919106 1700002475000000000"
-    )
+    up = _uplink(_position(49_191_060, -740_167_000, 2564), node="tracker", gateway="gw",
+                 timestamp=1_700_002_475)
+    assert uplink_to_series(up) == [
+        "position,node=tracker altitude_m=2564i,latitude=4.919106,longitude=-74.0167 "
+        "1700002475000000000",
+        "link,gateway=gw,node=tracker rssi_dbm=-96,snr_db=3.25 1700002475000000000",
+    ]
 
 
 def test_line_protocol_escapes_spaces():
-    rec = SeriesRecord(
-        measurement="link",
-        tags={"site": "la cumbre"},
-        fields={"rssi_dbm": -110.0},
-        time_ns=0,
-    )
-    assert (
-        serialize_line_protocol([rec]) == "link,site=la\\ cumbre rssi_dbm=-110 0"
-    )
+    up = _uplink({"text": "x"}, node="la cumbre", gateway="gw 1", rssi=-110, snr=0.0,
+                 timestamp=0)
+    assert uplink_to_series(up) == [
+        "link,gateway=gw\\ 1,node=la\\ cumbre rssi_dbm=-110,snr_db=0 0"
+    ]
 
 
 def test_line_protocol_escapes_commas_equals_backslash():
-    rec = SeriesRecord(
-        measurement="a,b c",
-        tags={"k=1": "v,2"},
-        fields={"f": 1},
-        time_ns=5,
-    )
-    line = serialize_line_protocol([rec])
-    assert line == "a\\,b\\ c,k\\=1=v\\,2 f=1i 5"
-    back = parse_line_protocol(line)[0]
-    assert back["measurement"] == "a,b c"
-    assert back["tags"] == {"k=1": "v,2"}
+    up = _uplink(_irradiance(1.0), node="k=1,v\\2", gateway="a,b=c", timestamp=5)
+    lines = uplink_to_series(up)
+    assert lines == [
+        "irradiance,node=k\\=1\\,v\\\\2 value=1 5000000000",
+        "link,gateway=a\\,b\\=c,node=k\\=1\\,v\\\\2 rssi_dbm=-96,snr_db=3.25 5000000000",
+    ]
+    back = parse_line_protocol(serialize_line_protocol(lines))
+    assert [p["tags"] for p in back] == [
+        {"node": "k=1,v\\2"},
+        {"gateway": "a,b=c", "node": "k=1,v\\2"},
+    ]
 
 
 def test_line_protocol_strips_trailing_zeros():
-    rec = SeriesRecord("m", {}, {"a": 36.75, "b": -80.0, "c": 0.5}, 1)
-    assert serialize_line_protocol([rec]) == "m a=36.75,b=-80,c=0.5 1"
+    assert uplink_to_series(_uplink(_irradiance(36.75), rssi=-80, snr=0.5, timestamp=1)) == [
+        "irradiance,node=node1 value=36.75 1000000000",
+        "link,gateway=node4,node=node1 rssi_dbm=-80,snr_db=0.5 1000000000",
+    ]
+    # Six decimals, rounded; nothing left after the point drops the point.
+    assert uplink_to_series(_uplink(_irradiance(2.0000004), timestamp=1))[0] == (
+        "irradiance,node=node1 value=2 1000000000"
+    )
+    assert uplink_to_series(_uplink(_irradiance(0.1234565001), timestamp=1))[0] == (
+        "irradiance,node=node1 value=0.123457 1000000000"
+    )
 
 
 def test_line_protocol_multiline_no_trailing_newline():
-    recs = [
-        SeriesRecord("m", {}, {"v": 1.0}, 1),
-        SeriesRecord("m", {}, {"v": 2.0}, 2),
-    ]
-    text = serialize_line_protocol(recs)
+    text = serialize_line_protocol(uplink_to_series(_uplink(_irradiance(1.0))))
     assert text.count("\n") == 1
     assert not text.endswith("\n")
+    assert serialize_line_protocol([]) == ""
 
 
 def test_line_protocol_roundtrip_random():
     rng = random.Random(2024)
-    tag_chars = string.ascii_lowercase + " ,="
-    records = []
-    for i in range(1000):
-        tags = {
-            "".join(rng.choices(string.ascii_lowercase, k=4)): "".join(
-                rng.choices(tag_chars, k=6)
-            ).strip()
-            or "x"
-            for _ in range(rng.randint(0, 3))
-        }
-        fields = {}
-        for _ in range(rng.randint(1, 4)):
-            key = "".join(rng.choices(string.ascii_lowercase, k=5))
-            if rng.random() < 0.5:
-                fields[key] = rng.randint(-10**9, 10**9)
-            else:
-                fields[key] = round(rng.uniform(-2e4, 2e4), 6)
-        records.append(
-            SeriesRecord(
-                measurement="m" + str(i % 7),
-                tags=tags,
-                fields=fields,
-                time_ns=rng.randint(0, 2**62),
-            )
+    id_chars = string.ascii_lowercase + ' ,=\\"é'
+    for _ in range(1000):
+        kind = rng.randrange(3)
+        if kind == 0:
+            payload = _irradiance(round(rng.uniform(0, 2e3), rng.randint(0, 9)))
+        elif kind == 1:
+            payload = _position(rng.randint(-9 * 10**8, 9 * 10**8),
+                                rng.randint(-18 * 10**8, 18 * 10**8),
+                                rng.randint(-500, 9000))
+        else:
+            payload = {"text": "hi"}
+        up = _uplink(
+            payload,
+            node="".join(rng.choices(id_chars, k=rng.randint(1, 8))),
+            gateway="".join(rng.choices(id_chars, k=rng.randint(1, 8))),
+            rssi=rng.randint(-140, -20),
+            snr=rng.randint(-80, 60) / 4,
+            timestamp=rng.randint(0, 2**32 - 1),
         )
-    parsed = parse_line_protocol(serialize_line_protocol(records))
-    assert len(parsed) == len(records)
-    for rec, back in zip(records, parsed):
-        assert back["measurement"] == rec.measurement
-        assert back["tags"] == rec.tags
-        assert back["fields"] == rec.fields
-        assert back["time_ns"] == rec.time_ns
+        assert _points(up) == _typed(expected_series(up.gateway_id, up.body))
+
+
+# Ids may hold any character but a control; line protocol ends a point at
+# "\n", and the reference parser also splits at U+2028 and U+2029.
+_ids = st.text(
+    st.sampled_from(' ,=\\"') | st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")),
+    min_size=1,
+    max_size=10,
+)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    node=_ids,
+    gateway=_ids,
+    payload=st.one_of(
+        st.builds(_irradiance, _floats),
+        st.builds(_position, st.integers(-9 * 10**8, 9 * 10**8),
+                  st.integers(-18 * 10**8, 18 * 10**8), st.integers(-(2**31), 2**31 - 1)),
+        st.builds(lambda text: {"text": text}, st.text()),
+    ),
+    rssi=st.integers(-200, 50),
+    snr=_floats,
+    timestamp=st.integers(0, 2**32 - 1),
+)
+def test_series_points_round_trip_any_ids_and_floats(node, gateway, payload, rssi, snr,
+                                                      timestamp):
+    up = _uplink(payload, node=node, gateway=gateway, rssi=rssi, snr=snr,
+                 timestamp=timestamp)
+    assert _points(up) == _typed(expected_series(gateway, up.body))
 
 
 # --- signal-quality buckets ----------------------------------------------------------

@@ -46,23 +46,19 @@ def test_adc_range_enforced():
 
 
 def test_sensor_scale_one_wm2_per_step():
-    value, clamped = voltage_to_irradiance(PYRANOMETER_SCALE_V_PER_WM2)
-    assert value == pytest.approx(1.0)
-    assert not clamped
+    assert voltage_to_irradiance(PYRANOMETER_SCALE_V_PER_WM2) == pytest.approx(1.0)
 
 
 def test_saturated_sensor_clamps_and_flags():
     # A full-scale ADC implies ~1976 W/m^2, beyond what the sensor can
     # physically report; the conversion pins it to the maximum.
-    value, clamped = voltage_to_irradiance(3.3)
-    assert value == IRRADIANCE_MAX_WM2
-    assert clamped
+    assert IRRADIANCE_MAX_WM2 == 1800.0
+    assert voltage_to_irradiance(3.3) == IRRADIANCE_MAX_WM2
+    assert IrradianceSample.from_adc(ADC_FULL_SCALE).irradiance_wm2 == IRRADIANCE_MAX_WM2
 
 
 def test_irradiance_below_max_not_flagged():
-    value, clamped = voltage_to_irradiance(1.0)
-    assert value == pytest.approx(1.0 / PYRANOMETER_SCALE_V_PER_WM2)
-    assert not clamped
+    assert voltage_to_irradiance(1.0) == pytest.approx(1.0 / PYRANOMETER_SCALE_V_PER_WM2)
 
 
 # --- position codec ----------------------------------------------------------
