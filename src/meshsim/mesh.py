@@ -87,15 +87,17 @@ class RxMetadata(NamedTuple):
 
 @dataclass(frozen=True)
 class ContentionParams:
-    """Shape of the SNR-to-contention-window mapping."""
+    """Shape of the SNR-to-contention-window mapping.
+
+    A role missing from windows keeps its DEFAULT_CONTENTION_WINDOWS entry.
+    """
 
     snr_min_db: float = -20.0
     snr_max_db: float = 10.0
-    windows: dict[NodeRole, tuple[int, int]] = field(
-        default_factory=lambda: dict(DEFAULT_CONTENTION_WINDOWS)
-    )
+    windows: dict[NodeRole, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "windows", {**DEFAULT_CONTENTION_WINDOWS, **self.windows})
         problems = []
         if not self.snr_min_db < self.snr_max_db:
             problems.append(
@@ -103,7 +105,9 @@ class ContentionParams:
             )
         # An inverted window would let strong receivers rebroadcast first.
         for role, (low, high) in self.windows.items():
-            if not 0 <= low <= high:
+            if not isinstance(role, NodeRole):  # a str key would never be looked up
+                problems.append(f"window key {role!r} is not a NodeRole")
+            elif not 0 <= low <= high:
                 problems.append(f"{role.value} window [{low}, {high}] must have 0 <= min <= max")
         if problems:
             raise ValueError("invalid ContentionParams: " + "; ".join(problems))

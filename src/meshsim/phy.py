@@ -92,13 +92,22 @@ class RadioConfig:
             raise ValueError("invalid RadioConfig: " + "; ".join(problems))
 
 
+def reference_loss_1m_db(frequency_hz: float) -> float:
+    """Free-space loss at the 1 m reference distance for this frequency."""
+    return 20.0 * math.log10(4.0 * math.pi * 1.0 * frequency_hz / SPEED_OF_LIGHT_M_S)
+
+
+# An environment's reference loss unless it states its own.
+REFERENCE_LOSS_915_DB = reference_loss_1m_db(915e6)
+
+
 @dataclass(frozen=True)
 class EnvironmentClass:
     """Log-distance path-loss parameters for one propagation regime."""
 
     terrain: Terrain
     path_loss_exponent: float
-    reference_loss_db: float
+    reference_loss_db: float = REFERENCE_LOSS_915_DB
     shadowing_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
@@ -170,11 +179,6 @@ def snr_floor_db(spreading_factor: int) -> float:
 def sensitivity_dbm(cfg: RadioConfig) -> float:
     """Weakest decodable power: noise floor plus the SF's SNR floor."""
     return noise_floor_dbm(cfg) + snr_floor_db(cfg.spreading_factor)
-
-
-def reference_loss_1m_db(frequency_hz: float) -> float:
-    """Free-space loss at the 1 m reference distance for this frequency."""
-    return 20.0 * math.log10(4.0 * math.pi * 1.0 * frequency_hz / SPEED_OF_LIGHT_M_S)
 
 
 def path_loss_db(distance_m: float, env: EnvironmentClass) -> float:

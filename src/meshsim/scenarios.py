@@ -20,14 +20,8 @@ from types import UnionType
 from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
 
 from .geo import LatLonAlt, offset_position
-from .mesh import DEFAULT_CONTENTION_WINDOWS, MAX_PAYLOAD_BYTES, ContentionParams, NodeRole, Port
-from .phy import (
-    EnvironmentClass,
-    RadioConfig,
-    Terrain,
-    calibrate_exponent,
-    reference_loss_1m_db,
-)
+from .mesh import MAX_PAYLOAD_BYTES, ContentionParams, NodeRole, Port
+from .phy import REFERENCE_LOSS_915_DB, EnvironmentClass, RadioConfig, Terrain, calibrate_exponent
 from .telemetry import AppSchedule, DiurnalProfile, PayloadSource
 
 OUTPUT_KINDS = frozenset(
@@ -42,10 +36,9 @@ NS_PER_S = 1_000_000_000  # the simulation clock ticks in nanoseconds
 # Most app emissions one scenario may ask for, summed over every app. It
 # bounds a run's work: the built-ins ask for at most a few thousand.
 MAX_EMISSIONS = 10_000_000
-# C0 controls and DEL, rejected in node ids and the scenario name.
-_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f]")
-
-REFERENCE_LOSS_915_DB = reference_loss_1m_db(915e6)
+# C0 controls, DEL and the other characters str.splitlines breaks at (NEL,
+# LINE SEPARATOR, PARAGRAPH SEPARATOR), rejected in node ids and the scenario name.
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f\x85\u2028\u2029]")
 
 # Drive-test RSSI against distance from the fixed mesh, range-valued rows
 # collapsed to midpoints. The fit over these midpoints defines the
@@ -138,12 +131,16 @@ class NodeSpec:
     """One radio in the mesh; route overrides position when present."""
 
     id: str
-    name: str
     role: NodeRole
     position: LatLonAlt
+    name: str | None = None  # None takes the id
     apps: tuple[AppSchedule, ...] = ()
     radio: RadioConfig | None = None  # None inherits the scenario radio
     route: Route | None = None
+
+    def __post_init__(self) -> None:
+        if self.name is None:
+            object.__setattr__(self, "name", self.id)
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,8 @@ class Scenario:
                 return None
 
         def printable(where: str, text: str) -> bool:
-            # Ids and the name reach series.lp, which cannot escape a line break,
+            # Ids and the name reach series.lp, which cannot escape a line break
+            # (and whose readers may split at NEL, U+2028 and U+2029 as well),
             # and map.kml; XML 1.0 forbids the C0 controls.
             if encoded(where, text) is None:
                 return False
@@ -349,25 +347,14 @@ class Scenario:
 #
 # The dataclasses describe the file format. Keys are field names, enums go
 # by value, tuples and frozensets become lists (frozensets sorted), and a
-# field holding None is left out. Two layouts break that rule: a waypoint
-# inlines its position, and _FILL supplies defaults a dataclass cannot.
+# field holding None is left out. One layout breaks that rule: a waypoint
+# inlines its position. An omitted field takes the dataclass's default.
 #
 # The decoder alone checks a file's structure (keys, JSON types, enum
 # members, pair lengths). Ranges live in the constructors and validate(),
 # so that Python-built scenarios meet them too.
 
 _INLINE = {Waypoint: "position"}
-
-# Each function computes its field from the decoded ones, so it is never required.
-_FILL: dict[type, dict[str, Callable[[dict[str, Any]], Any]]] = {
-    NodeSpec: {"name": lambda kw: kw.get("name", kw["id"])},
-    EnvironmentClass: {
-        "reference_loss_db": lambda kw: kw.get("reference_loss_db", REFERENCE_LOSS_915_DB)
-    },
-    ContentionParams: {
-        "windows": lambda kw: {**DEFAULT_CONTENTION_WINDOWS, **kw.get("windows", {})}
-    },
-}
 
 _Decode = Callable[[Any, str, list[str]], Any]
 
@@ -465,11 +452,10 @@ def _mapping(key: _Decode, item: _Decode) -> _Decode:
 def _record(cls: type) -> _Decode:
     hints = get_type_hints(cls)
     inline = _INLINE.get(cls)
-    fill = _FILL.get(cls, {})
     spec = _fields(cls)
     plan = [(name, _decoder(hints[name]), name == inline) for name in spec]
     own = [name for name in spec if name != inline]
-    required = {name for name in own if spec[name] and name not in fill}
+    required = {name for name in own if spec[name]}
 
     def decode(obj: Any, path: str, errors: list[str]) -> Any:
         if not isinstance(obj, dict):
@@ -493,8 +479,6 @@ def _record(cls: type) -> _Decode:
                 _fail(errors, path, f"{name!r} is a required property")
         if len(errors) > mark:
             return None
-        for name, compute in fill.items():
-            kwargs[name] = compute(kwargs)
         try:
             return cls(**kwargs)
         except ValueError as exc:
@@ -562,28 +546,7 @@ def load_scenario(source: str) -> Scenario:
 CAMPUS_ORIGIN = LatLonAlt(4.9167, -74.0167, 2559.88)
 SUMMIT_ALTITUDE_M = 2628.03
 
-_LOS_OPEN = EnvironmentClass(
-    terrain=Terrain.LOS_OPEN,
-    path_loss_exponent=2.6,
-    reference_loss_db=REFERENCE_LOSS_915_DB,
-    shadowing_sigma_db=0.0,
-)
-
-def _nlos_built(sigma_db: float) -> EnvironmentClass:
-    return EnvironmentClass(
-        terrain=Terrain.NLOS_BUILT,
-        path_loss_exponent=NLOS_EXPONENT,
-        reference_loss_db=REFERENCE_LOSS_915_DB,
-        shadowing_sigma_db=sigma_db,
-    )
-
-def _quasi_los(sigma_db: float) -> EnvironmentClass:
-    return EnvironmentClass(
-        terrain=Terrain.QUASI_LOS_ELEVATED,
-        path_loss_exponent=QUASI_LOS_EXPONENT,
-        reference_loss_db=REFERENCE_LOSS_915_DB,
-        shadowing_sigma_db=sigma_db,
-    )
+_LOS_OPEN = EnvironmentClass(terrain=Terrain.LOS_OPEN, path_loss_exponent=2.6)
 
 
 def campus_scenario() -> Scenario:
@@ -610,7 +573,7 @@ def campus_scenario() -> Scenario:
             Waypoint(1800.0, offset_position(origin, 12.0, -8.0, 2559.9)),
         ),
     )
-    nlos = _nlos_built(0.0)
+    nlos = EnvironmentClass(terrain=Terrain.NLOS_BUILT, path_loss_exponent=NLOS_EXPONENT)
     return Scenario(
         name="campus",
         duration_s=3600.0,
@@ -742,8 +705,15 @@ def cumbre_scenario() -> Scenario:
             ),
         ),
         default_env=(
-            EnvBand(env=_nlos_built(2.0), max_distance_m=2250.0),
-            EnvBand(env=_quasi_los(2.0)),
+            EnvBand(
+                env=EnvironmentClass(Terrain.NLOS_BUILT, NLOS_EXPONENT, shadowing_sigma_db=2.0),
+                max_distance_m=2250.0,
+            ),
+            EnvBand(
+                env=EnvironmentClass(
+                    Terrain.QUASI_LOS_ELEVATED, QUASI_LOS_EXPONENT, shadowing_sigma_db=2.0
+                )
+            ),
         ),
         outputs=frozenset({"summary", "map_csv", "map_kml", "uplinks", "series"}),
     )
@@ -761,12 +731,7 @@ def _single_shot_app() -> AppSchedule:
 
 _FLAT_ORIGIN = LatLonAlt(0.0, 0.0, 0.0)
 
-_SYNTH_ENV = EnvironmentClass(
-    terrain=Terrain.LOS_OPEN,
-    path_loss_exponent=2.0,
-    reference_loss_db=REFERENCE_LOSS_915_DB,
-    shadowing_sigma_db=0.0,
-)
+_SYNTH_ENV = EnvironmentClass(terrain=Terrain.LOS_OPEN, path_loss_exponent=2.0)
 
 # Far enough that a frame lands below sensitivity at any legal exponent.
 _UNREACHABLE_M = 1e7

@@ -422,11 +422,19 @@ def test_lone_surrogate_string_is_usage_error(tmp_path, capsys, path, message):
         (("name",), "k4\nday", "error: name contains control character U+000A"),
         (("nodes", 0, "id"), "node\x7f0", "error: nodes[0]: id contains control character U+007F"),
         (("nodes", 3, "id"), "gw\x00", "error: nodes[3]: id contains control character U+0000"),
+        (("nodes", 0, "id"), "a\u2028b", "error: nodes[0]: id contains control character U+2028"),
+        (("nodes", 1, "id"), "c\u2029", "error: nodes[1]: id contains control character U+2029"),
+        (("name",), "k4\x85", "error: name contains control character U+0085"),
     ],
-    ids=["name-newline", "node-id-del", "gateway-id-nul"],
+    ids=[
+        "name-newline", "node-id-del", "gateway-id-nul", "node-id-line-separator",
+        "node-id-paragraph-separator", "name-next-line",
+    ],
 )
 def test_control_character_is_usage_error(tmp_path, capsys, path, value, message):
-    # series.lp cannot escape a line break and XML 1.0 forbids C0 controls.
+    # series.lp cannot escape a line break, readers that split lines with
+    # str.splitlines also break at U+0085, U+2028 and U+2029, and XML 1.0
+    # forbids C0 controls.
     obj = k4_scenario().to_dict()
     *parents, key = path
     target = obj

@@ -287,8 +287,9 @@ def test_line_protocol_roundtrip_random():
         assert _points(up) == _typed(expected_series(up.gateway_id, up.body))
 
 
-# Ids may hold any character but a control; line protocol ends a point at
-# "\n", and the reference parser also splits at U+2028 and U+2029.
+# validate() rejects C0 controls, DEL, NEL, U+2028 and U+2029 in ids: line
+# protocol ends a point at "\n", and the reference parser also splits at the
+# others. The drawn ids leave out every control and both separators.
 _ids = st.text(
     st.sampled_from(' ,=\\"') | st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")),
     min_size=1,

@@ -278,6 +278,12 @@ def test_contention_rejects_empty_snr_span(snr_min, snr_max):
         ContentionParams(snr_min_db=snr_min, snr_max_db=snr_max)
 
 
+def test_contention_rejects_a_window_not_keyed_by_role():
+    # Merged over the defaults, a "CLIENT" key would sit beside NodeRole.CLIENT unread.
+    with pytest.raises(ValueError, match="window key 'CLIENT' is not a NodeRole"):
+        ContentionParams(windows={"CLIENT": (0, 0)})
+
+
 def test_backoff_deterministic_for_seeded_rng():
     params = ContentionParams()
     a = [

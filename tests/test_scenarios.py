@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import meshsim
 from meshsim.geo import LatLonAlt, geo_to_local, node_distance_m, offset_position
-from meshsim.mesh import ContentionParams, NodeRole, Port
-from meshsim.phy import EnvironmentClass, RadioConfig, Terrain
+from meshsim.mesh import DEFAULT_CONTENTION_WINDOWS, ContentionParams, NodeRole, Port
+from meshsim.phy import EnvironmentClass, RadioConfig, Terrain, reference_loss_1m_db
 from meshsim.scenarios import (
     BUILTIN_SCENARIOS,
     GATEWAY_OUTPUTS,
@@ -26,6 +26,7 @@ from meshsim.scenarios import (
     NLOS_EXPONENT,
     OUTPUT_KINDS,
     QUASI_LOS_EXPONENT,
+    REFERENCE_LOSS_915_DB,
     EnvBand,
     LinkOverride,
     NodeSpec,
@@ -373,11 +374,12 @@ _CAMPUS_NODES = campus_scenario().nodes
         ({"capture_threshold_db": -1.0}, ["capture_threshold_db: -1.0 must be >= 0"]),
         ({"capture_threshold_db": math.nan}, ["capture_threshold_db: nan must be >= 0"]),
         ({"capture_threshold_db": math.inf}, ["capture_threshold_db: inf must be finite"]),
+        ({"default_env": ()}, ["default_env: at least one band is required"]),
     ],
     ids=[
         "epoch", "name", "region", "tracker-waypoint", "no-nodes", "band-not-positive",
         "bands-not-increasing", "self-link", "link-below-1m", "negative-capture",
-        "nan-capture", "infinite-capture",
+        "nan-capture", "infinite-capture", "no-bands",
     ],
 )
 def test_validate_holds_python_built_scenarios_to_file_ranges(changes, expected):
@@ -496,10 +498,12 @@ def test_schema_rejects_unknown_position_key():
             [],
             "nodes/4/route: route needs at least one waypoint",
         ),
+        (("contention", "windows"), [], "contention/windows: [] is not of type 'object'"),
+        (("default_env",), [], "default_env: at least one band is required"),
     ],
     ids=[
         "bool-as-integer", "long-pair", "enum", "waypoint-extra-key", "waypoint-missing-key",
-        "route-without-waypoints",
+        "route-without-waypoints", "windows-as-array", "no-bands",
     ],
 )
 def test_decoder_reports_structure_with_paths(where, value, expected):
@@ -525,7 +529,7 @@ def test_codec_layout_exceptions():
     }
     # Fields holding None are left out.
     assert "radio" not in obj["nodes"][0] and "distance_m" not in obj["links"][0]
-    # Defaults the dataclasses cannot express come from the fill table.
+    # An omitted field takes its dataclass's default.
     del obj["nodes"][0]["name"]
     del obj["links"][0]["env"]["reference_loss_db"]
     obj["contention"]["windows"] = {"CLIENT": [1, 9]}
@@ -533,6 +537,45 @@ def test_codec_layout_exceptions():
     assert back.nodes[0].name == "node1"
     assert back.links[0].env == sc.links[0].env
     assert back.contention.windows == {**sc.contention.windows, NodeRole.CLIENT: (1, 9)}
+
+
+def test_python_built_values_take_the_file_defaults():
+    at = LatLonAlt(0.0, 0.0)
+    assert NodeSpec(id="n1", role=NodeRole.CLIENT, position=at).name == "n1"
+    assert NodeSpec(id="n1", role=NodeRole.CLIENT, position=at, name="").name == ""
+    env = EnvironmentClass(terrain=Terrain.LOS_OPEN, path_loss_exponent=2.0)
+    assert env.reference_loss_db == REFERENCE_LOSS_915_DB == reference_loss_1m_db(915e6)
+    windows = ContentionParams(windows={NodeRole.ROUTER: (0, 1)}).windows
+    assert windows == {**DEFAULT_CONTENTION_WINDOWS, NodeRole.ROUTER: (0, 1)}
+    assert ContentionParams().windows == DEFAULT_CONTENTION_WINDOWS
+
+
+def test_partial_contention_windows_run_as_the_defaults():
+    # Only CLIENT is given; the ROUTER and GATEWAY windows the flood needs are the defaults.
+    partial = k4_scenario().replace(contention=ContentionParams(windows={NodeRole.CLIENT: (4, 8)}))
+    assert partial.validate() == []
+    assert meshsim.run(partial).summary_dict() == meshsim.run(k4_scenario()).summary_dict()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtin_without_default_values_loads_back_equal(name):
+    sc = BUILTIN_SCENARIOS[name]()
+    obj = sc.to_dict()
+    for node in obj["nodes"]:
+        if node["name"] == node["id"]:
+            del node["name"]
+    envs = [band["env"] for band in obj["default_env"]]
+    envs += [link["env"] for link in obj["links"] if "env" in link]
+    for env in envs:
+        if env["reference_loss_db"] == REFERENCE_LOSS_915_DB:
+            del env["reference_loss_db"]
+    windows = obj["contention"]["windows"]
+    for role, window in DEFAULT_CONTENTION_WINDOWS.items():
+        if windows[role.value] == list(window):
+            del windows[role.value]
+    # Every built-in uses the default reference loss and windows.
+    assert "reference_loss_db" not in json.dumps(obj) and windows == {}
+    assert scenario_from_dict(obj) == sc
 
 
 def test_integral_floats_load_as_ints():
@@ -610,9 +653,11 @@ _app = st.builds(
 )
 
 
-# Node ids and the scenario name may hold any character but a C0 control or DEL.
+# Node ids and the scenario name may hold any character but a C0 control, DEL,
+# or one of the other line breaks of str.splitlines: NEL, U+2028 and U+2029.
 _printable = st.characters(
-    exclude_categories=("Cs",), exclude_characters=[chr(c) for c in range(0x20)] + ["\x7f"]
+    exclude_categories=("Cs",),
+    exclude_characters=[chr(c) for c in range(0x20)] + ["\x7f", "\x85", "\u2028", "\u2029"],
 )
 
 
