@@ -34,7 +34,6 @@ reused.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 from enum import Enum
@@ -79,6 +78,16 @@ from .scenarios import (
 )
 from . import telemetry
 
+# sha256 comes from CPython's built-in module, whose private name differs
+# by version; hashlib would load OpenSSL's libcrypto, about 3.7 MB of RSS.
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 __all__ = [
     "Event",
     "EventKind",
@@ -94,7 +103,7 @@ __all__ = [
 def derive_seed(master: int, *tags: object) -> int:
     """Stable per-stream seed derivation, independent of hash randomization."""
     text = ":".join([str(master), *map(str, tags)])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

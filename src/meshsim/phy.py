@@ -7,13 +7,10 @@ meters, durations in seconds, frequencies and bandwidths in Hz.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
-
-log = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -188,7 +185,9 @@ def path_loss_db(distance_m: float, env: EnvironmentClass) -> float:
     only happens for co-located radios, which the model cannot separate.
     """
     if distance_m < 1.0:
-        log.warning(
+        import logging  # only here, so a run without co-located nodes never loads it
+
+        logging.getLogger(__name__).warning(
             "distance %.3f m below the 1 m reference, clamping (co-located nodes)",
             distance_m,
         )

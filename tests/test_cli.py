@@ -40,6 +40,23 @@ def run_cli_process(*argv, timeout, **env):
     )
 
 
+def test_import_loads_neither_openssl_nor_logging():
+    # -S keeps site-packages .pth hooks from importing modules of their own.
+    code = (
+        "import sys, meshsim.cli\n"
+        "print(sorted({'hashlib', '_hashlib', 'logging'} & set(sys.modules)))\n"
+    )
+    src = str(Path(meshsim.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_default_run_writes_summary(tmp_path, capsys):
     assert run_cli("--scenario", "k4", "--out-dir", str(tmp_path)) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Event-loop behavior: collisions, busy receivers, floods, conservation."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -45,10 +46,22 @@ def outcome_of(report, transmitter, receiver):
 
 def test_derive_seed_is_stable_and_stream_separated():
     a = derive_seed(42, "backoff", "node1")
-    assert a == derive_seed(42, "backoff", "node1")
+    # Literals, so swapping the hash on both sides of the sha256 test below is caught.
+    assert a == 1758822201415392842
+    assert derive_seed(7, "pktid", "ñandú") == 16491144991558404223
     assert a != derive_seed(42, "backoff", "node2")
     assert a != derive_seed(42, "shadow", "node1")
     assert a != derive_seed(43, "backoff", "node1")
+
+
+@given(
+    master=st.integers(min_value=0, max_value=2**64 - 1),
+    tags=st.lists(st.one_of(st.text(), st.integers()), max_size=4),
+)
+def test_derive_seed_is_sha256_of_the_joined_tags(master, tags):
+    text = ":".join([str(master), *map(str, tags)])
+    want = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+    assert derive_seed(master, *tags) == want
 
 
 # --- shadowing draws -------------------------------------------------------------

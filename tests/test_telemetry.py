@@ -49,7 +49,7 @@ def test_sensor_scale_one_wm2_per_step():
     assert voltage_to_irradiance(PYRANOMETER_SCALE_V_PER_WM2) == pytest.approx(1.0)
 
 
-def test_saturated_sensor_clamps_and_flags():
+def test_saturated_sensor_clamps():
     # A full-scale ADC implies ~1976 W/m^2, beyond what the sensor can
     # physically report; the conversion pins it to the maximum.
     assert IRRADIANCE_MAX_WM2 == 1800.0
@@ -57,7 +57,7 @@ def test_saturated_sensor_clamps_and_flags():
     assert IrradianceSample.from_adc(ADC_FULL_SCALE).irradiance_wm2 == IRRADIANCE_MAX_WM2
 
 
-def test_irradiance_below_max_not_flagged():
+def test_irradiance_below_max_passes_through_unclamped():
     assert voltage_to_irradiance(1.0) == pytest.approx(1.0 / PYRANOMETER_SCALE_V_PER_WM2)
 
 
